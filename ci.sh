@@ -52,4 +52,7 @@ timeout 300 cargo test -q -p rtrm-bench --test chaos_coop
 echo "==> BENCH_*.json schema sanity"
 cargo test -q -p rtrm-bench --test bench_json_schema
 
+echo "==> perfbench: the benchmark's own tests (a separate cargo workspace)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

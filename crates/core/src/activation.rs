@@ -1,13 +1,9 @@
 //! The resource-manager interface: activations, plans, and decisions.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use rtrm_platform::{Energy, Platform, PlatformIndex, ResourceId, ResourceKind, TaskCatalog, Time};
-use rtrm_sched::{
-    is_schedulable_with, simulate_into, EdfScratch, EdfTimeline, JobKey, JobOutcome, PlannedJob,
-};
+use rtrm_sched::{simulate_into, EdfScratch, EdfTimeline, JobKey, JobOutcome, PlannedJob};
 
 use crate::cost::Candidate;
 use crate::prune::{CandidateTable, PruneStats};
@@ -104,7 +100,10 @@ pub struct Decision {
     /// `false` if the fallback without prediction was used (Sec 4.1) or
     /// prediction was off.
     pub used_prediction: bool,
-    /// Search effort (branch & bound nodes, or heuristic iterations).
+    /// Search effort (branch & bound nodes, or heuristic iterations) of the
+    /// fallback-ladder rung that produced the plan — not of the whole
+    /// activation: nodes spent by higher rungs that failed before it are not
+    /// counted, and a rejection reports 0.
     pub nodes: u64,
     /// Planned start times on the predicted task's *non-preemptable*
     /// resource (empty otherwise). The paper's manager decides "the moment
@@ -189,22 +188,21 @@ pub trait ResourceManager {
 }
 
 /// Reusable state backing [`PlanBuilder`]s: one persistent [`EdfTimeline`]
-/// per resource plus scratch buffers and a memo for the ad-hoc sub-queue
-/// checks of [`PlanBuilder::fits_or_defer`].
+/// per resource plus scratch buffers for the reservation-gate replays.
 ///
 /// A manager threads one pool through every [`PlanBuilder::new`] of an
 /// activation — in particular through all rungs of the phantom-count
-/// fallback ladder — so timeline allocations and engine-fallback memo
-/// entries are shared across the whole placement search instead of being
-/// rebuilt per rung.
+/// fallback ladder — so timeline allocations and the timelines'
+/// engine-fallback memo entries are shared across the whole placement
+/// search instead of being rebuilt per rung.
 ///
 /// Pools may also outlive a single activation: a caller that simulates many
 /// traces can hold one warm pool per worker and pass it to
 /// [`ResourceManager::decide_with_pool`] on every activation, eliminating
 /// the steady-state timeline/buffer allocations. This is safe because every
-/// memoized verdict is keyed by the exact probe content *including* the
-/// activation instant and the resource's preemptability, and
-/// [`PlanBuilder::new`] resets the timelines for the new instant.
+/// memoized verdict is keyed by the exact queue content, and a timeline
+/// drops its memo when [`PlanBuilder::new`] resets it for another instant or
+/// resource kind.
 #[derive(Debug, Clone, Default)]
 pub struct TimelinePool {
     /// When `true`, timelines run in oracle mode: every feasibility probe is
@@ -213,22 +211,10 @@ pub struct TimelinePool {
     oracle: bool,
     /// One timeline per resource, reset (not reallocated) per builder.
     timelines: Vec<EdfTimeline>,
-    /// Queue buffer for sub-queue checks and gate replays.
-    queue: Vec<PlannedJob>,
-    /// Encoded memo key for the queue under test.
-    probe: Vec<u64>,
     /// Outcome buffer for [`PlanBuilder::reservation_gates`].
     outcomes: Vec<JobOutcome>,
-    /// EDF engine state for queue checks outside the timelines.
+    /// EDF engine state for the gate replays.
     edf: EdfScratch,
-    /// Exact-keyed verdicts for sub-queue checks, cleared when it outgrows
-    /// [`MEMO_CAP`].
-    memo: HashMap<Vec<u64>, bool>,
-    /// Instant of the last [`PlanBuilder::new`]. Memo keys include the
-    /// instant, so entries from other instants can never hit again; the
-    /// builder flushes them instead of letting a long-lived pool drag a
-    /// memo full of dead keys through every lookup.
-    last_now: Option<Time>,
     /// Builder generation. A timeline is only reset (and only *iterated* by
     /// whole-plan reads) when its [`touched_epoch`](TimelinePool) entry
     /// matches the current epoch — so a builder over a 512-resource platform
@@ -368,52 +354,11 @@ impl TimelinePool {
 /// them with a per-release-segment demand-criterion sweep — and fall back to
 /// memoized from-scratch engine runs only on non-preemptable ones, where the
 /// scheduling anomaly genuinely needs the engine; exactness is never traded
-/// away.
+/// away. Committing ([`place`](PlanBuilder::place)) computes no verdict.
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     activation: &'a Activation<'a>,
     pool: &'a mut TimelinePool,
-}
-
-/// Memo entries kept before the cache is wholesale cleared. Activations plan
-/// a handful of jobs over a handful of resources, so in practice the cache
-/// never fills; the cap only bounds memory on adversarial inputs.
-const MEMO_CAP: usize = 4096;
-
-/// Feasibility of `queue` on `resource`, memoized by exact queue content
-/// (bit patterns, not a lossy hash — a hit can never return a wrong
-/// verdict). The key includes the activation instant and the resource's
-/// preemptability, so a pool reused across activations — or even across
-/// simulators — can never serve a stale verdict.
-fn queue_schedulable(
-    queue: &[PlannedJob],
-    resource: ResourceId,
-    kind: ResourceKind,
-    now: Time,
-    edf: &mut EdfScratch,
-    memo: &mut HashMap<Vec<u64>, bool>,
-    probe: &mut Vec<u64>,
-) -> bool {
-    probe.clear();
-    probe.push(resource.index() as u64);
-    probe.push(now.value().to_bits());
-    probe.push(u64::from(kind.is_preemptable()));
-    for j in queue {
-        probe.push(j.key.0);
-        probe.push(j.release.value().to_bits());
-        probe.push(j.exec.value().to_bits());
-        probe.push(j.deadline.value().to_bits());
-        probe.push(u64::from(j.pinned));
-    }
-    if let Some(&verdict) = memo.get(probe.as_slice()) {
-        return verdict;
-    }
-    let verdict = is_schedulable_with(kind, now, queue, edf);
-    if memo.len() >= MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(probe.clone(), verdict);
-    verdict
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -430,10 +375,6 @@ impl<'a> PlanBuilder<'a> {
     /// the touched shard.
     #[must_use]
     pub fn new(activation: &'a Activation<'a>, pool: &'a mut TimelinePool) -> Self {
-        if pool.last_now != Some(activation.now) {
-            pool.memo.clear();
-            pool.last_now = Some(activation.now);
-        }
         while pool.timelines.len() < activation.platform.len() {
             pool.timelines
                 .push(EdfTimeline::new(ResourceKind::Cpu, activation.now));
@@ -485,65 +426,45 @@ impl<'a> PlanBuilder<'a> {
         self.prepare(candidate.resource).fits(planned)
     }
 
-    /// Like [`fits`](PlanBuilder::fits), but *defers* the verdict (returns
-    /// `true`) when the target resource is non-preemptable and its queue
-    /// would contain a future-released job. On such queues feasibility is
-    /// not monotone under job addition — a later placement can push the
-    /// dispatch of an early job past the future release and *repair* the
-    /// schedule (a classic non-preemptive scheduling anomaly) — so an exact
-    /// search must not prune on the partial check; it re-validates complete
-    /// plans with [`all_schedulable`](PlanBuilder::all_schedulable).
+    /// Like [`fits`](PlanBuilder::fits), but on a non-preemptable resource
+    /// whose queue would hold a future-released job it answers with the
+    /// timeline's [`demand_feasible`](EdfTimeline::demand_feasible) bound and
+    /// *defers* the exact verdict. On such queues feasibility is not monotone
+    /// under job addition — a later placement can push the dispatch of an
+    /// early job past the future release and *repair* the schedule (a
+    /// classic non-preemptive scheduling anomaly) — so an exact search must
+    /// not prune on the exact partial verdict. The demand bound is
+    /// necessary and only tightens as jobs are added, so a `false` here
+    /// cuts a subtree without a feasible leaf; the search re-validates
+    /// complete plans with [`all_schedulable`](PlanBuilder::all_schedulable).
     #[must_use]
     pub fn fits_or_defer(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let r = candidate.resource;
-        let kind = self.activation.platform.resource(r).kind();
-        if !kind.is_preemptable() {
-            let now = self.activation.now;
-            // `released_by` is the same epsilon-tolerant predicate the engine
-            // and the timelines classify with, and `has_future` reads the
-            // timeline's retained release stack in O(1) instead of rescanning
-            // the queue.
-            let has_future = self.prepare(r).has_future();
-            let future = !job.release.released_by(now) || has_future;
-            if future {
-                // Sound necessary condition that survives the anomaly: the
-                // sub-queue of already-released jobs runs in pure EDF order
-                // regardless of the future releases (removing future work
-                // only shortens its prefix sums), so if *it* misses a
-                // deadline, no completion of this partial plan can fix it.
-                let planned = self.planned_job(job, candidate);
-                let TimelinePool {
-                    timelines,
-                    queue,
-                    probe,
-                    edf,
-                    memo,
-                    ..
-                } = &mut *self.pool;
-                queue.clear();
-                queue.extend(
-                    timelines[r.index()]
-                        .jobs()
-                        .iter()
-                        .filter(|j| j.release.released_by(now))
-                        .copied(),
-                );
-                if planned.release.released_by(now) {
-                    queue.push(planned);
-                }
-                return queue_schedulable(queue, r, kind, now, edf, memo, probe);
-            }
+        if self.activation.platform.resource(r).kind().is_preemptable() {
+            return self.fits(job, candidate);
         }
-        self.fits(job, candidate)
+        let now = self.activation.now;
+        let planned = self.planned_job(job, candidate);
+        let timeline = self.prepare(r);
+        // `released_by` is the same epsilon-tolerant predicate the engine and
+        // the timelines classify with, and `has_future` reads the timeline's
+        // retained release stack in O(1) instead of rescanning the queue.
+        if planned.release.released_by(now) && !timeline.has_future() {
+            return timeline.fits(planned);
+        }
+        timeline.insert(planned);
+        let bound = timeline.demand_feasible();
+        let _ = timeline.undo();
+        bound
     }
 
     /// Commits `job` to `candidate`'s resource, splicing it into the
-    /// retained timeline (callers are expected to have checked
-    /// [`fits`](PlanBuilder::fits) first; placing an infeasible job is
-    /// allowed and simply leaves the timeline infeasible).
+    /// retained timeline without computing a verdict (callers are expected
+    /// to have checked [`fits`](PlanBuilder::fits) first; placing an
+    /// infeasible job is allowed and simply leaves the timeline infeasible).
     pub fn place(&mut self, job: &JobView, candidate: &Candidate) {
         let planned = self.planned_job(job, candidate);
-        let _ = self.prepare(candidate.resource).push(planned);
+        self.prepare(candidate.resource).insert(planned);
     }
 
     /// Removes the most recently placed job from `resource` (backtracking).

@@ -76,7 +76,9 @@ pub struct Plan {
     pub placements: Vec<(JobKey, Candidate)>,
     /// Objective value of the plan.
     pub objective: Energy,
-    /// Search effort (nodes / iterations).
+    /// Search effort (nodes / iterations) of the attempt that produced this
+    /// plan. A [`Decision`] carries the winning rung's count only, so failed
+    /// rungs above it go unreported.
     pub nodes: u64,
     /// Planned start times on the phantom's non-preemptable resource (see
     /// [`Decision::start_gates`]).

@@ -10,7 +10,16 @@
 //!
 //! Pruning: candidates are tried cheapest-energy first; a node is cut when
 //! its accumulated energy plus the sum of every unassigned task's cheapest
-//! candidate can no longer beat the incumbent.
+//! candidate can no longer beat the incumbent. A placement is cut when its
+//! resource queue fails [`PlanBuilder::fits_or_defer`]: the exact verdict on
+//! preemptable and dense queues, and the timeline's processor-demand bound
+//! ([`rtrm_sched::EdfTimeline::demand_feasible`]) on a GPU queue holding a
+//! future release — on the paper platform, almost always the phantom. That
+//! bound is necessary for the engine's verdict and only tightens as jobs are
+//! added, so a cut subtree holds no feasible leaf. The exact engine verdict
+//! on such queues is postponed to the leaves
+//! ([`PlanBuilder::all_schedulable`]), because non-preemptive feasibility
+//! with a future release is not monotone.
 
 use std::time::{Duration, Instant};
 
@@ -40,10 +49,11 @@ pub struct ExactRm {
     /// [`candidates`](crate::candidates)). Enabled by default; Fig 1's
     /// scenario analysis requires it.
     pub gpu_restart_in_place: bool,
-    /// Answer every feasibility probe with a memoized from-scratch engine
-    /// run instead of the incremental timeline. Verdicts (and hence plans)
-    /// are identical; this is the pre-incremental baseline, kept for
-    /// benchmarks and differential tests.
+    /// Answer every exact feasibility probe with a memoized from-scratch
+    /// engine run instead of the incremental timeline (the demand bound on
+    /// GPU queues with a future release reads the timeline in both modes).
+    /// Verdicts (and hence plans) are identical; this is the pre-incremental
+    /// baseline, kept for benchmarks and differential tests.
     pub oracle_feasibility: bool,
     /// Anytime wall-clock budget in seconds *per fallback rung*. `None`
     /// (the default) never reads the clock, so results stay bit-identical
@@ -426,8 +436,9 @@ impl Search<'_, '_> {
             return;
         }
         if pos == self.order.len() {
-            // Deferred queues (future releases on non-preemptable
-            // resources) are only validated here, on the complete plan.
+            // Queues whose exact verdict was deferred (future releases on
+            // non-preemptable resources, cut only by the demand bound) are
+            // validated here, on the complete plan.
             let accept = self.plan.all_schedulable()
                 && match self.best.as_ref() {
                     None => true,

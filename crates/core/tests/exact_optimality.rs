@@ -1,15 +1,19 @@
 //! Brute-force optimality check for the exact optimizer: on tiny random
 //! instances, enumerate *every* assignment of jobs to candidates and verify
-//! `ExactRm` returns the minimum-energy feasible plan.
+//! `ExactRm` returns the minimum-energy feasible plan. Instances include a
+//! job running on the GPU (whose "stay" candidate is pinned) and a phantom,
+//! so the search's demand-bound cuts on GPU queues with a future release
+//! are checked against exhaustive enumeration.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rtrm_core::{
-    candidates, Activation, Candidate, ExactRm, JobView, PlanBuilder, ResourceManager, TimelinePool,
+    candidates, Activation, Candidate, ExactRm, JobView, Placement, PlanBuilder, ResourceManager,
+    TimelinePool,
 };
-use rtrm_platform::{Platform, TaskCatalog, TaskTypeId, Time};
+use rtrm_platform::{Platform, ResourceKind, TaskCatalog, TaskTypeId, Time};
 use rtrm_sched::JobKey;
 use rtrm_trace::{generate_catalog, CatalogConfig};
 
@@ -81,16 +85,17 @@ fn brute_force_best(activation: &Activation<'_>) -> Option<f64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(400))]
 
     #[test]
     fn exact_matches_brute_force(
         seed in any::<u64>(),
         cpus in 1usize..3,
         gpu in any::<bool>(),
-        slacks in prop::collection::vec(1.1f64..4.0, 1..4),
-        types in prop::collection::vec(0usize..4, 1..4),
+        slacks in prop::collection::vec(1.1f64..4.0, 1..6),
+        types in prop::collection::vec(0usize..4, 1..6),
         with_phantom in any::<bool>(),
+        running in prop::option::of(0.05f64..1.0),
     ) {
         let (platform, catalog) = world(seed, cpus, gpu);
         let n = slacks.len().min(types.len());
@@ -98,7 +103,7 @@ proptest! {
         // Jobs: the last is "arriving", the rest are unplaced actives (the
         // RM treats unplaced active tasks like fresh ones, keeping the
         // brute-force comparable).
-        let jobs: Vec<JobView> = (0..n)
+        let mut jobs: Vec<JobView> = (0..n)
             .map(|i| {
                 let ty = TaskTypeId::new(types[i] % catalog.len());
                 JobView::fresh(
@@ -109,6 +114,14 @@ proptest! {
                 )
             })
             .collect();
+        // With `running`, the first active job has done part of its work on
+        // the GPU: it stays pinned there, restarts, or migrates.
+        let gpu_id = platform.ids_of_kind(ResourceKind::Gpu).next();
+        if let (Some(fraction), Some(gpu_id), true) = (running, gpu_id, n >= 2) {
+            if catalog.task_type(jobs[0].task_type).profile(gpu_id).is_some() {
+                jobs[0].placement = Some(Placement::new(gpu_id, fraction, true));
+            }
+        }
         let phantom = if with_phantom {
             let ty = TaskTypeId::new(types[0] % catalog.len());
             vec![JobView::fresh(
@@ -142,7 +155,13 @@ proptest! {
             // If the full phantom set is infeasible, the manager falls back;
             // the brute force (which always includes the phantom) disagrees
             // by construction — skip those.
-            (false, _) => {}
+            (false, None) => {}
+            // An unbounded search that cuts only subtrees without a feasible
+            // leaf finds every plan the enumeration finds.
+            (false, Some(b)) => prop_assert!(
+                false,
+                "brute force found a plan of cost {b} that the exact search missed"
+            ),
             (true, None) => prop_assert!(
                 false,
                 "exact admitted (with phantom honoured) but brute force found nothing"

@@ -30,7 +30,7 @@
 //! maintain under rotation in O(1), so push/undo are O(log n) and the
 //! feasibility verdict is read off the root.
 //!
-//! # Future releases on preemptable resources
+//! # Future releases and the pinned prefix: the demand sweep
 //!
 //! Queues containing a *future-released* job (a predicted phantom, or an
 //! arrival delayed by prediction overhead) gain idle gaps, so one prefix
@@ -38,33 +38,39 @@
 //! optimal, and single-processor feasibility is exactly the processor-demand
 //! criterion: for every interval `[s, d]` with `s` an (effective) release
 //! instant and `d` a deadline, the total execution of jobs released at or
-//! after `s` with deadlines at or before `d` must fit in `d - s`. Only two
-//! kinds of interval start matter — `now` (every dense job's effective
-//! release) and the exact release of each future job — so the verdict
+//! after `s` with deadlines at or before `d` must fit in `d - s`. A pinned
+//! job is a blocking prefix of length `B` that every other job waits for,
+//! so the effective release of job `u` is `max(release_u, now + B)`, and
+//! only two kinds of interval start matter — `now + B` (every dense job's
+//! effective release) and each future release past it — so the verdict
 //! decomposes into the dense-prefix argument *per release segment*:
 //!
 //! ```text
-//! for every segment s in {now} ∪ {future releases}:
+//! for every segment s in {now + B} ∪ {future releases after now + B}:
 //!     min over u with release_u >= s of (deadline_u - E_u^(s))  >=  s
 //! ```
 //!
 //! where `E_u^(s)` sums execution over jobs released at-or-after `s`, taken
-//! in `(deadline, push order)`. The `now` segment covers *all* jobs (future
-//! releases included — their release is at-or-after `now`), so it is read
-//! off the main treap root in O(1). Segments strictly after `now` contain
-//! only the future jobs; [`EdfTimeline::feasible`] answers them by sweeping
-//! the release-ordered future set from the latest release down, splicing
-//! each segment's jobs into a second, scratch tree keyed by
+//! in `(deadline, push order)`. The `now + B` segment covers *all* unpinned
+//! jobs (future releases included), so it is read off the main treap root
+//! in O(1). Later segments contain only future jobs;
+//! [`EdfTimeline::demand_feasible`] answers them by sweeping the
+//! release-ordered future set from the latest release down, splicing each
+//! segment's jobs into a second, scratch tree keyed by
 //! `(deadline, push order)` and reading its root min-gap per segment. With
 //! `k` future jobs a verdict costs O(log n + k log k) — O(log n) for the
 //! single-phantom queue that dominates the managers' fallback ladder.
 //!
-//! *Non-preemptable* resources additionally suffer scheduling anomalies
-//! under future releases (delaying one dispatch can repair another), which
-//! the demand criterion does not capture; those queues fall back to a
+//! The sweep is the exact verdict on preemptable queues and on dense queues
+//! of either kind. *Non-preemptable* resources with future releases
+//! additionally suffer scheduling anomalies (delaying one dispatch can
+//! repair another), so [`EdfTimeline::feasible`] answers those queues with a
 //! from-scratch run of the event-driven engine over the retained job list,
-//! memoized by exact queue content so the fallback ladder's repeated
-//! re-examinations of the same queue stay cheap.
+//! memoized by exact queue content. The sweep still bounds them from one
+//! side: a work-conserving non-preemptive schedule is also a preemptive one,
+//! so a queue the sweep rejects is one the engine rejects too, and adding
+//! jobs only lowers the gaps — a search may cut a subtree as soon as the
+//! sweep fails on a partial queue.
 //!
 //! The differential property suite in `tests/incremental.rs` asserts that
 //! every push/undo sequence agrees — bit for bit on the verdict — with a
@@ -115,8 +121,8 @@ enum Slot {
     Pinned,
     /// Released after `now` (beyond [`TIME_EPSILON`]): lives in the deadline
     /// treap *and* on the release stack, so verdicts can run the
-    /// demand-criterion sweep per release segment (preemptable resources) or
-    /// the engine fallback (non-preemptable ones).
+    /// demand-criterion sweep per release segment (and, on non-preemptable
+    /// resources, the engine fallback).
     Future,
 }
 
@@ -173,12 +179,16 @@ pub struct EdfTimeline {
     /// Indices (into `jobs`) of future-released jobs, in push order. Undo is
     /// strict LIFO over all pushes, so this behaves as a stack too.
     future_stack: Vec<u32>,
-    /// Scratch: `future_stack` sorted by `(release, push order)` for the
-    /// per-segment sweep of [`EdfTimeline::feasible`].
+    /// Scratch: `future_stack` sorted by descending release for the
+    /// per-segment sweep of [`EdfTimeline::demand_feasible`].
     seg_order: Vec<u32>,
     /// Scratch tree keyed by `(deadline, push order)` rebuilt over the
     /// future jobs during the per-segment sweep.
     seg_tree: Treap,
+    /// Jobs that miss their deadline even running alone from their release:
+    /// the engine's per-job necessary condition, kept as a count so push and
+    /// undo maintain it in O(1).
+    overruns: u32,
     /// Verdicts answered by the from-scratch engine (memoized or not)
     /// instead of the incremental trees, since construction. Cumulative
     /// across [`reset`](EdfTimeline::reset); diagnostics only.
@@ -204,6 +214,7 @@ impl EdfTimeline {
             future_stack: Vec::new(),
             seg_order: Vec::new(),
             seg_tree: Treap::default(),
+            overruns: 0,
             engine_verdicts: 0,
             scratch: EdfScratch::new(),
             memo: HashMap::new(),
@@ -228,6 +239,7 @@ impl EdfTimeline {
         self.tree.clear();
         self.pinned = None;
         self.future_stack.clear();
+        self.overruns = 0;
     }
 
     /// Switches between incremental verdicts (default) and the memoized
@@ -291,6 +303,18 @@ impl EdfTimeline {
     /// assert!(timeline.push(job).is_feasible(), "an exact fit is feasible");
     /// ```
     pub fn push(&mut self, job: PlannedJob) -> Feasibility {
+        self.insert(job);
+        Feasibility::from(self.feasible())
+    }
+
+    /// Splices `job` into the timeline without computing a verdict — the
+    /// commit half of [`push`](EdfTimeline::push), for callers that have
+    /// already probed the placement. O(log n).
+    ///
+    /// # Panics
+    ///
+    /// As [`push`](EdfTimeline::push).
+    pub fn insert(&mut self, job: PlannedJob) {
         assert!(
             job.exec >= Time::ZERO && job.exec.is_finite(),
             "job exec must be finite and non-negative"
@@ -317,9 +341,9 @@ impl EdfTimeline {
             Slot::Tree
         } else {
             // Future release: the job still joins the deadline treap — the
-            // `now` segment of the demand criterion spans every job — and its
-            // index is stacked for the per-segment sweep (preemptable) or to
-            // trigger the engine fallback (non-preemptable).
+            // `now + B` segment of the demand criterion spans every unpinned
+            // job — and its index is stacked for the per-segment sweep (and
+            // to trigger the engine fallback on non-preemptable resources).
             self.tree.insert(
                 job.deadline.value(),
                 self.jobs.len() as u32,
@@ -328,9 +352,17 @@ impl EdfTimeline {
             self.future_stack.push(self.jobs.len() as u32);
             Slot::Future
         };
+        self.overruns += u32::from(self.overruns_alone(&job));
         self.jobs.push(job);
         self.slots.push(slot);
-        Feasibility::from(self.feasible())
+    }
+
+    /// The engine's fast necessary condition, failed: `job` cannot finish by
+    /// its deadline even if it starts at its own release (the raw release —
+    /// the pinned job's and one within [`TIME_EPSILON`] after `now`
+    /// included, although dispatch ignores both).
+    fn overruns_alone(&self, job: &PlannedJob) -> bool {
+        !(job.release.max(self.start) + job.exec).meets(job.deadline)
     }
 
     /// Removes the most recently pushed job (strict LIFO) and returns it.
@@ -361,6 +393,7 @@ impl EdfTimeline {
     #[must_use = "the retracted job is the caller's to re-place or drop"]
     pub fn undo(&mut self) -> PlannedJob {
         let job = self.jobs.pop().expect("undo on an empty timeline");
+        self.overruns -= u32::from(self.overruns_alone(&job));
         match self.slots.pop().expect("slots parallel jobs") {
             Slot::Tree => self
                 .tree
@@ -384,31 +417,13 @@ impl EdfTimeline {
     /// [`jobs`](EdfTimeline::jobs).
     #[must_use]
     pub fn feasible(&mut self) -> bool {
-        if self.oracle {
+        // The demand sweep is exact everywhere except on non-preemptable
+        // queues with a future release, where only the engine is
+        // authoritative.
+        if self.oracle || (self.has_future() && !self.kind.is_preemptable()) {
             return self.engine_feasible();
         }
-        if !self.future_stack.is_empty() {
-            // Preemptable queues answer future releases with the
-            // demand-criterion sweep; non-preemptable dispatch suffers
-            // scheduling anomalies the criterion does not model, so only
-            // the engine is authoritative there.
-            return if self.kind.is_preemptable() {
-                self.segmented_feasible()
-            } else {
-                self.engine_feasible()
-            };
-        }
-        if let Some(i) = self.pinned {
-            // Mirror the engine's fast necessary condition exactly: the
-            // pinned job's raw release participates even though dispatch
-            // ignores it.
-            let j = &self.jobs[i];
-            if !(j.release.max(self.start) + j.exec).meets(j.deadline) {
-                return false;
-            }
-        }
-        let base = self.pinned.map_or(0.0, |i| self.jobs[i].exec.value());
-        self.tree.root_min_gap() >= self.start.value() + base - TIME_EPSILON
+        self.demand_feasible()
     }
 
     /// Returns `true` if any job on the timeline is released after `now`
@@ -427,15 +442,42 @@ impl EdfTimeline {
         self.engine_verdicts
     }
 
-    /// Demand-criterion verdict for a preemptable queue containing future
-    /// releases: the `now` segment is read off the main treap root (it spans
-    /// every job), then the future set is swept latest-release-first through
-    /// the scratch deadline tree, checking one segment per insertion.
-    fn segmented_feasible(&mut self) -> bool {
-        debug_assert!(self.pinned.is_none(), "pinning is non-preemptable only");
-        if self.tree.root_min_gap() < self.start.value() - TIME_EPSILON {
+    /// Processor-demand verdict read off the trees (see the module docs),
+    /// with the pinned job as a blocking prefix of length `B`: every job must
+    /// fit between its own release and deadline, and every release segment,
+    /// starting at `now + B` or at a future release after it, must fit.
+    ///
+    /// On preemptable queues, and on dense queues of either kind, this *is*
+    /// the verdict of [`is_schedulable_with`]. On a non-preemptable queue
+    /// with future releases it is a necessary condition: every
+    /// work-conserving non-preemptive schedule is also a preemptive one, so
+    /// whenever the engine accepts a queue this holds on it and on every
+    /// subset of its jobs. Adding a job only shrinks the gaps, so once this
+    /// fails no later push makes it hold again. It reads the trees in oracle
+    /// mode too, and never runs the engine.
+    #[must_use]
+    pub fn demand_feasible(&mut self) -> bool {
+        if self.overruns > 0 {
             return false;
         }
+        let base = match self.pinned {
+            Some(i) => self.start + self.jobs[i].exec,
+            None => self.start,
+        }
+        .value();
+        if self.tree.root_min_gap() < base - TIME_EPSILON {
+            return false;
+        }
+        // A non-preemptive dispatch at a completion instant (the pinned
+        // job's included) takes every job released within TIME_EPSILON of
+        // it, so there a segment may begin that much before its release.
+        // Preemptable segments begin at the release, keeping the verdict
+        // exact.
+        let early = if self.kind.is_preemptable() {
+            0.0
+        } else {
+            TIME_EPSILON
+        };
         // Destructure for disjoint borrows: the sort comparator reads `jobs`
         // while the sweep mutates `seg_tree`.
         let EdfTimeline {
@@ -455,8 +497,10 @@ impl EdfTimeline {
             seg_tree.insert(job.deadline.value(), idx, job.exec.value());
             // Checking after every insertion (not once per distinct release)
             // is equivalent: a partial release group only reports larger gaps
-            // than the full group, whose own check still runs.
-            if seg_tree.root_min_gap() < job.release.value() - TIME_EPSILON {
+            // than the full group, whose own check still runs. A segment
+            // starting at or before `now + B` is implied by the root check,
+            // which spans a superset of its jobs.
+            if seg_tree.root_min_gap() < job.release.value() - early - TIME_EPSILON {
                 return false;
             }
         }
@@ -767,6 +811,77 @@ mod tests {
         );
         let _ = tl.undo();
         assert!(tl.feasible());
+    }
+
+    #[test]
+    fn demand_bound_is_necessary_on_gpu_and_never_runs_the_engine() {
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        tl.insert(j(0, 0.0, 10.0, 30.0));
+        // Preemptively a release at 3 with deadline 6 fits (it runs [3, 5));
+        // non-preemptively it waits behind 10 units of work.
+        tl.insert(j(1, 3.0, 2.0, 6.0));
+        assert!(tl.demand_feasible(), "preemption could schedule it");
+        assert_eq!(
+            tl.engine_verdicts(),
+            0,
+            "insert and the bound read the trees"
+        );
+        assert!(!tl.feasible(), "the engine is authoritative here");
+        let _ = tl.undo();
+        // Infeasible even preemptively: 3 + 2 > 4.5.
+        tl.insert(j(2, 3.0, 2.0, 4.5));
+        assert!(!tl.demand_feasible());
+    }
+
+    #[test]
+    fn pinned_job_is_a_blocking_prefix() {
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        let mut running = j(0, 0.0, 4.0, 100.0);
+        running.pinned = true;
+        tl.insert(running);
+        // Released at 2 but dispatched at 4: 4 + 1 <= 6.
+        tl.insert(j(1, 2.0, 1.0, 6.0));
+        assert!(tl.demand_feasible());
+        assert!(tl.feasible());
+        let _ = tl.undo();
+        // 2 + 3 <= 6.5, but 4 + 3 > 6.5.
+        tl.insert(j(2, 2.0, 3.0, 6.5));
+        assert!(!tl.demand_feasible());
+        assert!(!tl.feasible());
+    }
+
+    #[test]
+    fn bound_holds_before_the_pinned_job_joins() {
+        // A search may place the running GPU job after the phantoms it
+        // blocks. Both releases fall within epsilon after the pinned job's
+        // completion at 4, so the engine dispatches them at 4 and the later
+        // deadline holds by 0.25 epsilon; the bound on the prefix without
+        // the pinned job must not reject what the full queue achieves.
+        let release = 4.0 + TIME_EPSILON / 2.0;
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        tl.insert(j(1, release, 1.0, 6.0 - 0.75 * TIME_EPSILON));
+        tl.insert(j(2, release, 1.0, 5.5));
+        assert!(tl.demand_feasible());
+        let mut running = j(0, 0.0, 4.0, 100.0);
+        running.pinned = true;
+        tl.insert(running);
+        assert!(tl.demand_feasible());
+        assert!(is_schedulable(ResourceKind::Gpu, T0, tl.jobs()));
+    }
+
+    #[test]
+    fn release_within_epsilon_keeps_the_engines_per_job_check() {
+        // Dispatch treats a release within epsilon of `now` as ready at
+        // `now`, but the engine's per-job condition uses the raw release:
+        // release + exec = 2 + 0.5 epsilon overruns deadline + epsilon =
+        // 2 + 0.25 epsilon.
+        let job = j(0, TIME_EPSILON / 2.0, 2.0, 2.0 - 0.75 * TIME_EPSILON);
+        assert!(!is_schedulable(ResourceKind::Cpu, T0, &[job]));
+        let mut tl = EdfTimeline::new(ResourceKind::Cpu, T0);
+        assert!(!tl.push(job).is_feasible());
+        assert!(!tl.has_future());
+        let _ = tl.undo();
+        assert!(tl.feasible(), "undo clears the overrun");
     }
 
     #[test]

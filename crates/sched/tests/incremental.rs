@@ -294,6 +294,155 @@ proptest! {
     }
 }
 
+/// Offsets that straddle the epsilon boundary around an anchor instant.
+const EPS_OFFSETS: [f64; 6] = [
+    -TIME_EPSILON,
+    -TIME_EPSILON / 2.0,
+    0.0,
+    TIME_EPSILON / 2.0,
+    TIME_EPSILON,
+    2.0 * TIME_EPSILON,
+];
+
+/// Deadline offsets off the lattice by a fraction of epsilon, so a queue
+/// can sit inside the tolerance windows of the engine and the bound without
+/// landing on a float knife edge between them.
+const DEADLINE_EPS: [f64; 3] = [0.0, -0.75 * TIME_EPSILON, 0.25 * TIME_EPSILON];
+
+/// A job's `(exec, deadline offset, deadline epsilon index)`.
+type JobSpec = (f64, f64, usize);
+
+/// One future release of a [`gpu_demand_case`]: `(anchor, epsilon index,
+/// lattice offset, job)`. Anchor 0 releases within epsilon of `now`, anchor
+/// 1 within epsilon of the pinned job's completion `now + B`, anchor 2 at a
+/// lattice offset after `now`.
+type FutureSpec = (u8, usize, f64, JobSpec);
+
+/// A random GPU queue: `(now, pinned job, dense jobs, future releases,
+/// push-order sort keys)`.
+type GpuDemandCase = (
+    f64,
+    Option<JobSpec>,
+    Vec<JobSpec>,
+    Vec<FutureSpec>,
+    Vec<u32>,
+);
+
+fn job_spec() -> impl Strategy<Value = JobSpec> {
+    (lattice(0..48), lattice(1..320), 0usize..DEADLINE_EPS.len())
+}
+
+fn gpu_demand_case() -> impl Strategy<Value = GpuDemandCase> {
+    (
+        lattice(0..64),
+        prop::option::of(job_spec()),
+        prop::collection::vec(job_spec(), 0..5),
+        prop::collection::vec(
+            (
+                0u8..3,
+                0usize..EPS_OFFSETS.len(),
+                lattice(1..40),
+                job_spec(),
+            ),
+            1..4,
+        ),
+        prop::collection::vec(0u32..1000, 8),
+    )
+}
+
+/// Builds the queue of a [`gpu_demand_case`] in its drawn push order, so the
+/// pinned job may land after the future releases it blocks.
+fn gpu_demand_queue(case: &GpuDemandCase) -> (Time, Vec<PlannedJob>) {
+    let (now, pinned, dense, future, keys) = case;
+    let blocking = pinned.map_or(0.0, |(exec, _, _)| exec);
+    let job = |key: usize, release: f64, (exec, deadline, eps): JobSpec| {
+        PlannedJob::new(
+            JobKey(key as u64),
+            Time::new(release),
+            Time::new(exec),
+            Time::new(now + deadline + DEADLINE_EPS[eps]),
+        )
+    };
+    let mut jobs = Vec::new();
+    if let Some(spec) = *pinned {
+        let mut pinned = job(0, *now, spec);
+        pinned.pinned = true;
+        jobs.push(pinned);
+    }
+    for &spec in dense {
+        jobs.push(job(jobs.len(), *now, spec));
+    }
+    for &(anchor, eps, offset, spec) in future {
+        let release = match anchor {
+            0 => now + EPS_OFFSETS[eps],
+            1 => now + blocking + EPS_OFFSETS[eps],
+            _ => now + offset,
+        };
+        jobs.push(job(jobs.len(), release, spec));
+    }
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| (keys[i], i));
+    (
+        Time::new(*now),
+        order.into_iter().map(|i| jobs[i]).collect(),
+    )
+}
+
+proptest! {
+    /// The demand bound the exact search prunes GPU subtrees with is sound:
+    /// on every push-order prefix of a random GPU queue (optional pinned
+    /// job, dense jobs, 1–3 future releases straddling `now` and `now + B`
+    /// by ±epsilon),
+    ///
+    /// * whenever the engine accepts a prefix, `demand_feasible()` held on
+    ///   it and on every shorter prefix — so cutting at the first failing
+    ///   placement never loses a feasible leaf;
+    /// * whenever the engine rejects the prefix's released sub-queue (the
+    ///   check the bound replaced), `demand_feasible()` rejects the prefix;
+    /// * once the bound fails it keeps failing as jobs are added;
+    /// * the bound reads the same trees in oracle mode, without the engine.
+    #[test]
+    fn gpu_demand_bound_is_sound(case in gpu_demand_case()) {
+        let (now, queue) = gpu_demand_queue(&case);
+        let kind = ResourceKind::Gpu;
+        let mut timeline = EdfTimeline::new(kind, now);
+        let mut oracle = EdfTimeline::new(kind, now);
+        oracle.set_oracle(true);
+        let mut scratch = EdfScratch::new();
+        let mut bounds = Vec::new();
+        for k in 0..queue.len() {
+            timeline.insert(queue[k]);
+            oracle.insert(queue[k]);
+            let prefix = &queue[..=k];
+            let bound = timeline.demand_feasible();
+            prop_assert_eq!(bound, oracle.demand_feasible(), "oracle mode diverged on {:?}", prefix);
+            prop_assert_eq!(oracle.engine_verdicts(), 0);
+            bounds.push(bound);
+            if k > 0 && !bounds[k - 1] {
+                prop_assert!(!bound, "the bound loosened when a job was added: {:?}", prefix);
+            }
+            let engine = is_schedulable_with(kind, now, prefix, &mut scratch);
+            if engine {
+                prop_assert!(
+                    bounds.iter().all(|&b| b),
+                    "engine accepts {:?} but the bound rejected a prefix: {:?}",
+                    prefix,
+                    bounds
+                );
+            }
+            let released: Vec<PlannedJob> = prefix
+                .iter()
+                .filter(|j| j.release.released_by(now))
+                .copied()
+                .collect();
+            if !is_schedulable_with(kind, now, &released, &mut scratch) {
+                prop_assert!(!bound, "released sub-queue infeasible but the bound holds: {:?}", prefix);
+            }
+            prop_assert_eq!(timeline.feasible(), engine, "feasible() diverged on {:?}", prefix);
+        }
+    }
+}
+
 /// The fallback ladder's probe pattern from the managers' point of view: a
 /// dense working set plus `k` future-released phantoms, re-probed at rung
 /// `k`, then `k-1`, …, then `0`. On a preemptable resource every one of those

@@ -56,7 +56,10 @@ pub struct SimReport {
     pub wasted_energy: Energy,
     /// Activations whose chosen plan honoured the predicted task.
     pub used_prediction: usize,
-    /// Total search effort reported by the manager.
+    /// Sum of [`Decision::nodes`](rtrm_core::Decision::nodes) over all
+    /// activations: the search effort of each admitting rung only, not the
+    /// nodes of fallback-ladder rungs that failed before it or of
+    /// rejections.
     pub rm_nodes: u64,
     /// Fallback-ladder rungs whose solver hit its wall-clock budget, summed
     /// over all activations (0 unless the manager runs with an anytime

@@ -66,6 +66,33 @@ fn prediction_plus_overhead_pipeline() {
 }
 
 #[test]
+fn budgeted_exact_manager_plans_around_a_perfect_phantom() {
+    // The paper sweeps' exact configuration: a 25 000-node budget per rung
+    // and a perfect oracle, so the branch and bound searches GPU queues
+    // holding the phantom's future release.
+    let (platform, catalog, traces) = workload(60, 2, 5);
+    let sim = Simulator::new(
+        &platform,
+        &catalog,
+        SimConfig {
+            phantom_deadline: PhantomDeadline::MinWcetTimes(1.5),
+            ..SimConfig::default()
+        },
+    );
+    for trace in &traces {
+        let mut oracle = OraclePredictor::perfect(trace, catalog.len());
+        let report = sim.run(
+            trace,
+            &mut ExactRm::with_node_budget(25_000),
+            Some(&mut oracle),
+        );
+        assert_eq!(report.deadline_misses, 0);
+        assert_eq!(report.accepted + report.rejected, report.requests);
+        assert!(report.used_prediction > 0, "no plan honoured the phantom");
+    }
+}
+
+#[test]
 fn run_batch_spans_managers_and_predictors() {
     let (platform, catalog, traces) = workload(50, 4, 3);
     let config = SimConfig::default();
