@@ -55,4 +55,12 @@ cargo test -q -p rtrm-bench --test bench_json_schema
 echo "==> perfbench: the benchmark's own tests (a separate cargo workspace)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench: one-second runs of both workloads (no deadline miss, stable digests, no degraded decision)"
+# A short run still performs the benchmark's correctness checks; a failed
+# check exits non-zero and fails the gate.
+for workload in batch-paper-exact stream-paper-lt; do
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 echo "CI OK"

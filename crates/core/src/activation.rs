@@ -6,6 +6,7 @@ use rtrm_platform::{Energy, Platform, PlatformIndex, ResourceId, ResourceKind, T
 use rtrm_sched::{simulate_into, EdfScratch, EdfTimeline, JobKey, JobOutcome, PlannedJob};
 
 use crate::cost::Candidate;
+use crate::exact::Lookahead;
 use crate::prune::{CandidateTable, PruneStats};
 use crate::view::JobView;
 
@@ -233,6 +234,8 @@ pub struct TimelinePool {
     index: Option<PlatformIndex>,
     /// Recycled per-decide candidate table for the pruned decide path.
     table: CandidateTable,
+    /// Recycled per-rung look-ahead of the exact search's blocking cut.
+    pub(crate) lookahead: Lookahead,
 }
 
 impl TimelinePool {
@@ -437,6 +440,14 @@ impl<'a> PlanBuilder<'a> {
     /// necessary and only tightens as jobs are added, so a `false` here
     /// cuts a subtree without a feasible leaf; the search re-validates
     /// complete plans with [`all_schedulable`](PlanBuilder::all_schedulable).
+    ///
+    /// The bound cannot see non-preemptive *blocking*: a dense job that
+    /// starts before the future release and runs past its latest start.
+    /// That one is monotone only together with the jobs still to be placed
+    /// (dense jobs never wait, so a start moves later only by unassigned
+    /// work with an earlier-or-equal deadline), so the exact search asks
+    /// [`blocked`](PlanBuilder::blocked) after each placement with that
+    /// work as headroom.
     #[must_use]
     pub fn fits_or_defer(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let r = candidate.resource;
@@ -456,6 +467,19 @@ impl<'a> PlanBuilder<'a> {
         let bound = timeline.demand_feasible();
         let _ = timeline.undo();
         bound
+    }
+
+    /// Returns `true` if `resource`'s queue misses a deadline however the
+    /// search extends it: [`EdfTimeline::blocked_for_good`] with
+    /// `headroom(d)` bounding the work still-unassigned jobs can put ahead
+    /// of a deadline `d`. Only a non-preemptable queue holding exactly one
+    /// future release can be blocked; `false` on resources this builder
+    /// never touched.
+    #[must_use]
+    pub fn blocked(&self, resource: ResourceId, headroom: impl FnMut(Time) -> Time) -> bool {
+        let i = resource.index();
+        self.pool.touched_epoch[i] == self.pool.epoch
+            && self.pool.timelines[i].blocked_for_good(headroom)
     }
 
     /// Commits `job` to `candidate`'s resource, splicing it into the

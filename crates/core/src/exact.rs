@@ -20,6 +20,20 @@
 //! on such queues is postponed to the leaves
 //! ([`PlanBuilder::all_schedulable`]), because non-preemptive feasibility
 //! with a future release is not monotone.
+//!
+//! Blocking cut: on a rung whose job set holds exactly one future release
+//! `F`, a per-depth [`Lookahead`] records, keyed by deadline, the most work
+//! the still-unassigned jobs can put ahead of a dense GPU job, and every
+//! placement — on a CPU too, since it shrinks that headroom — asks
+//! [`PlanBuilder::blocked`] whether the non-preemptable queue holding `F`
+//! misses a deadline however the rest are placed
+//! ([`rtrm_sched::EdfTimeline::blocked_for_good`]). Dense jobs never wait,
+//! so a job's start moves later only by still-unassigned work with an
+//! earlier-or-equal deadline; a blocker that starts before `F`'s release
+//! even after all of it, and runs past `F`'s latest start, blocks every
+//! leaf below. Keying the headroom by deadline lets the cut fire high in
+//! the tree. Rungs with several future releases keep the demand bound
+//! alone.
 
 use std::time::{Duration, Instant};
 
@@ -232,6 +246,11 @@ impl ExactRm {
             suffix_min[pos] = suffix_min[pos + 1] + cand[order[pos]][0].energy;
         }
 
+        // Blocking cut: the per-depth look-ahead, built in the pool's
+        // reused buffers (empty unless exactly one job is released later).
+        let mut lookahead = std::mem::take(&mut pool.lookahead);
+        lookahead.rebuild(activation, jobs, cand, &order);
+
         // Warm start: seed the incumbent with the heuristic's plan. Its cost
         // is re-summed in `order` position order — the same left-to-right
         // fold the DFS uses — so when the search reaches the same leaf it
@@ -263,6 +282,7 @@ impl ExactRm {
                 cand,
                 order: &order,
                 suffix_min: &suffix_min,
+                lookahead: &lookahead,
                 plan: PlanBuilder::new(activation, &mut *pool),
                 chosen: vec![None; jobs.len()],
                 best: warm.take(),
@@ -300,6 +320,7 @@ impl ExactRm {
             }
             break (rerun_nodes + search.nodes, search.best, search.timed_out);
         };
+        pool.lookahead = lookahead;
         let Some((objective, chosen)) = best else {
             return Attempt {
                 plan: None,
@@ -405,11 +426,115 @@ fn drop_dominated_rows(rows: &mut [Vec<Candidate>], num_resources: usize) {
     }
 }
 
+/// The blocking cut's look-ahead for a rung whose job set holds exactly one
+/// future release `F`: per search depth, `headroom(d)`, the most work the
+/// jobs still unassigned there can put ahead of a dense job with deadline
+/// `d` on a non-preemptable queue (see
+/// [`EdfTimeline::blocked_for_good`](rtrm_sched::EdfTimeline::blocked_for_good)).
+///
+/// An unassigned job `u` adds its largest non-preemptable candidate exec:
+/// a pinned "stay" candidate runs first, so it counts against every
+/// deadline; an unpinned one joins the EDF order, so it counts only against
+/// deadlines at or after `d_u`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lookahead {
+    /// Index of `F` in the rung's jobs; `None` disables the cut.
+    future: Option<usize>,
+    /// Per depth: pinned exec of the unassigned jobs.
+    base: Vec<Time>,
+    /// Per depth `p`, `steps[offsets[p]..offsets[p + 1]]`: the unassigned
+    /// jobs' unpinned exec beyond their pinned one, as `(deadline,
+    /// cumulative exec)` in deadline order.
+    offsets: Vec<usize>,
+    steps: Vec<(Time, Time)>,
+    /// Per job: (pinned exec, unpinned exec beyond it, search depth).
+    per_job: Vec<(Time, Time, usize)>,
+    /// Job indices in deadline order.
+    by_deadline: Vec<usize>,
+}
+
+impl Lookahead {
+    /// Rebuilds the table for one rung (`order[pos]` is the job at depth
+    /// `pos`); leaves the cut disabled unless exactly one job is released
+    /// after `now`.
+    fn rebuild(
+        &mut self,
+        activation: &Activation<'_>,
+        jobs: &[JobView],
+        cand: &[Vec<Candidate>],
+        order: &[usize],
+    ) {
+        self.future = None;
+        let mut later = (0..jobs.len()).filter(|&j| !jobs[j].release.released_by(activation.now));
+        let (Some(future), None) = (later.next(), later.next()) else {
+            return;
+        };
+        self.per_job.clear();
+        let platform = activation.platform;
+        self.per_job.extend(cand.iter().map(|row| {
+            let (mut pinned, mut free) = (Time::ZERO, Time::ZERO);
+            for c in row {
+                if platform.resource(c.resource).kind().is_preemptable() {
+                    continue;
+                }
+                if c.pinned {
+                    pinned = pinned.max(c.exec);
+                } else {
+                    free = free.max(c.exec);
+                }
+            }
+            (pinned, (free - pinned).max(Time::ZERO), 0)
+        }));
+        for (pos, &j) in order.iter().enumerate() {
+            self.per_job[j].2 = pos;
+        }
+        self.by_deadline.clear();
+        self.by_deadline.extend(0..jobs.len());
+        self.by_deadline.sort_unstable_by_key(|&j| jobs[j].deadline);
+        self.base.clear();
+        self.offsets.clear();
+        self.steps.clear();
+        for depth in 0..=jobs.len() {
+            self.offsets.push(self.steps.len());
+            let mut base = Time::ZERO;
+            let mut cumulative = Time::ZERO;
+            for &j in &self.by_deadline {
+                let (pinned, extra, pos) = self.per_job[j];
+                if pos < depth {
+                    continue;
+                }
+                base += pinned;
+                if extra > Time::ZERO {
+                    cumulative += extra;
+                    self.steps.push((jobs[j].deadline, cumulative));
+                }
+            }
+            self.base.push(base);
+        }
+        self.offsets.push(self.steps.len());
+        self.future = Some(future);
+    }
+
+    /// `headroom(d)` at search depth `depth`, for non-decreasing `d`.
+    fn headroom(&self, depth: usize) -> impl FnMut(Time) -> Time + '_ {
+        let steps = &self.steps[self.offsets[depth]..self.offsets[depth + 1]];
+        let base = self.base[depth];
+        let mut reached = 0;
+        move |deadline| {
+            while reached < steps.len() && steps[reached].0 <= deadline {
+                reached += 1;
+            }
+            base + reached.checked_sub(1).map_or(Time::ZERO, |i| steps[i].1)
+        }
+    }
+}
+
 struct Search<'a, 'b> {
     jobs: &'a [JobView],
     cand: &'a [Vec<Candidate>],
     order: &'a [usize],
     suffix_min: &'a [Energy],
+    lookahead: &'a Lookahead,
     plan: PlanBuilder<'b>,
     chosen: Vec<Option<Candidate>>,
     best: Option<(Energy, Vec<Option<Candidate>>)>,
@@ -425,6 +550,21 @@ struct Search<'a, 'b> {
 }
 
 impl Search<'_, '_> {
+    /// The blocking cut, after a placement that leaves `depth` jobs
+    /// assigned: whether the non-preemptable queue holding the rung's one
+    /// future release misses a deadline however the rest are placed. Any
+    /// placement can trigger it — one on a CPU shrinks the headroom too.
+    fn blocked(&self, depth: usize) -> bool {
+        let Some(future) = self.lookahead.future else {
+            return false;
+        };
+        let Some(placed) = self.chosen[future] else {
+            return false;
+        };
+        self.plan
+            .blocked(placed.resource, self.lookahead.headroom(depth))
+    }
+
     fn dfs(&mut self, pos: usize, cost: Energy) {
         if self.timed_out || self.nodes >= self.budget {
             return;
@@ -474,7 +614,9 @@ impl Search<'_, '_> {
             if self.plan.fits_or_defer(&self.jobs[j], &c) {
                 self.plan.place(&self.jobs[j], &c);
                 self.chosen[j] = Some(c);
-                self.dfs(pos + 1, cost + c.energy);
+                if !self.blocked(pos + 1) {
+                    self.dfs(pos + 1, cost + c.energy);
+                }
                 self.chosen[j] = None;
                 self.plan.unplace_last(c.resource);
                 if self.timed_out {

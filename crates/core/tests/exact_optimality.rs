@@ -1,9 +1,10 @@
 //! Brute-force optimality check for the exact optimizer: on tiny random
 //! instances, enumerate *every* assignment of jobs to candidates and verify
 //! `ExactRm` returns the minimum-energy feasible plan. Instances include a
-//! job running on the GPU (whose "stay" candidate is pinned) and a phantom,
-//! so the search's demand-bound cuts on GPU queues with a future release
-//! are checked against exhaustive enumeration.
+//! job running on the GPU (whose "stay" candidate is pinned) and a phantom
+//! released anywhere from a quarter of a unit to four units ahead, so the
+//! search's demand-bound and blocking cuts on GPU queues with a future
+//! release are checked against exhaustive enumeration.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -96,6 +97,8 @@ proptest! {
         types in prop::collection::vec(0usize..4, 1..6),
         with_phantom in any::<bool>(),
         running in prop::option::of(0.05f64..1.0),
+        release_eighths in 2u32..33,
+        factor in prop_oneof![Just(1.2), Just(1.5), Just(1.6), Just(2.0)],
     ) {
         let (platform, catalog) = world(seed, cpus, gpu);
         let n = slacks.len().min(types.len());
@@ -122,13 +125,17 @@ proptest! {
                 jobs[0].placement = Some(Placement::new(gpu_id, fraction, true));
             }
         }
+        // The phantom's release is drawn on the 1/8 lattice, so dense GPU
+        // work straddles it in varied ways, and its deadline is a multiple
+        // of the type's fastest execution.
         let phantom = if with_phantom {
             let ty = TaskTypeId::new(types[0] % catalog.len());
+            let release = Time::new(f64::from(release_eighths) * 0.125);
             vec![JobView::fresh(
                 JobKey(99),
                 ty,
-                Time::new(1.0),
-                Time::new(1.0) + catalog.task_type(ty).min_wcet() * 1.6,
+                release,
+                release + catalog.task_type(ty).min_wcet() * factor,
             )]
         } else {
             Vec::new()

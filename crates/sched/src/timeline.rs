@@ -70,7 +70,11 @@
 //! side: a work-conserving non-preemptive schedule is also a preemptive one,
 //! so a queue the sweep rejects is one the engine rejects too, and adding
 //! jobs only lowers the gaps — a search may cut a subtree as soon as the
-//! sweep fails on a partial queue.
+//! sweep fails on a partial queue. What the sweep cannot see is blocking: a
+//! dense job that starts before a lone future release and runs past that
+//! job's latest start. [`EdfTimeline::blocked_for_good`] reports it once no
+//! extension within a caller-supplied headroom can move the blocker past
+//! the release.
 //!
 //! The differential property suite in `tests/incremental.rs` asserts that
 //! every push/undo sequence agrees — bit for bit on the verdict — with a
@@ -78,6 +82,7 @@
 //! scan-based [`crate::reference`] oracle.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use rtrm_platform::{ResourceKind, Time, TIME_EPSILON};
 
@@ -507,6 +512,61 @@ impl EdfTimeline {
         true
     }
 
+    /// Returns `true` if a non-preemptable queue holding exactly one
+    /// future-released job `F` misses a deadline however later placements
+    /// extend it, given `headroom(d)`: the most work those placements can
+    /// still put ahead of a dense job with deadline `d` (a pinned job
+    /// counts against every deadline). `headroom` must be non-decreasing in
+    /// `d`; it is called with non-decreasing deadlines.
+    ///
+    /// Dense jobs never wait: until `F` is released the resource runs them
+    /// back to back in `(deadline, push order)` from `now + B`, so dense job
+    /// `h` starts at `σ_h = now + B + E_h` (`E_h` the dense work ordered
+    /// before it) and moves later only by added work with a deadline no
+    /// later than `d_h`. If even `σ_h + headroom(d_h)` leaves `F`
+    /// unreleased, `h` starts before `F` in every extension, and `F`
+    /// finishes no earlier than `σ_h + e_h + e_F`; past `d_F` (beyond
+    /// [`TIME_EPSILON`]) that is a miss no extension repairs. The walk stops
+    /// at the first dense job whose `σ_h + headroom(d_h)` releases `F`
+    /// (later ones do too). Both tests use the engine's own predicates
+    /// (`released_by`, `meets`), so on exact dyadic times the verdict sits
+    /// on the engine's side of every ε boundary.
+    ///
+    /// Reads only the deadline treap: no engine run, and the same answer in
+    /// oracle mode. `false` on preemptable queues and on queues with zero
+    /// or several future releases.
+    #[must_use]
+    pub fn blocked_for_good(&self, mut headroom: impl FnMut(Time) -> Time) -> bool {
+        let &[future] = self.future_stack.as_slice() else {
+            return false;
+        };
+        if self.kind.is_preemptable() {
+            return false;
+        }
+        let f = self.jobs[future as usize];
+        let mut start = match self.pinned {
+            Some(i) => self.start + self.jobs[i].exec,
+            None => self.start,
+        }
+        .value();
+        let blocked = self.tree.walk(self.tree.root, &mut |node| {
+            if node.seq == future {
+                return ControlFlow::Continue(());
+            }
+            let deadline = Time::new(node.deadline);
+            let latest = Time::new(start) + headroom(deadline);
+            if f.release.released_by(latest) {
+                return ControlFlow::Break(false);
+            }
+            if !Time::new(start + node.exec + f.exec.value()).meets(f.deadline) {
+                return ControlFlow::Break(true);
+            }
+            start += node.exec;
+            ControlFlow::Continue(())
+        });
+        matches!(blocked, ControlFlow::Break(true))
+    }
+
     /// Probes `job` without retaining it: `push` + `undo`, returning the
     /// verdict. The caller's timeline is unchanged.
     ///
@@ -714,6 +774,17 @@ impl Treap {
         self.root = self.merge(left, b);
     }
 
+    /// Visits the subtree at `v` in key order until `visit` breaks.
+    fn walk<B>(&self, v: u32, visit: &mut impl FnMut(&Node) -> ControlFlow<B>) -> ControlFlow<B> {
+        if v == NIL {
+            return ControlFlow::Continue(());
+        }
+        let node = &self.nodes[v as usize];
+        self.walk(node.left, visit)?;
+        visit(node)?;
+        self.walk(node.right, visit)
+    }
+
     fn remove(&mut self, deadline: f64, seq: u32) {
         let (a, rest) = self.split(self.root, deadline, seq);
         // `seq` is unique, so the exact-key slice is the single target node.
@@ -867,6 +938,30 @@ mod tests {
         tl.insert(running);
         assert!(tl.demand_feasible());
         assert!(is_schedulable(ResourceKind::Gpu, T0, tl.jobs()));
+    }
+
+    #[test]
+    fn blocking_is_final_only_when_headroom_cannot_pass_the_release() {
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        tl.insert(j(0, 0.0, 10.0, 30.0));
+        // Released at 3 with latest start 4: the dense job dispatched at 0
+        // runs until 10.
+        tl.insert(j(1, 3.0, 2.0, 6.0));
+        assert!(tl.blocked_for_good(|_| Time::ZERO));
+        assert!(!tl.feasible());
+        // Three units added ahead of the blocker would start it at 3, after
+        // the phantom is released, and the phantom would dispatch first.
+        assert!(!tl.blocked_for_good(|_| Time::new(3.0)));
+        let mut repaired = tl.jobs().to_vec();
+        repaired.push(j(2, 0.0, 3.0, 29.0));
+        assert!(is_schedulable(ResourceKind::Gpu, T0, &repaired));
+        // Work that can only land behind the blocker leaves it blocked.
+        assert!(tl.blocked_for_good(|d| if d.value() >= 31.0 {
+            Time::new(3.0)
+        } else {
+            Time::ZERO
+        }));
+        assert_eq!(tl.engine_verdicts(), 1, "only the feasible() call above");
     }
 
     #[test]

@@ -443,6 +443,262 @@ proptest! {
     }
 }
 
+/// A job of a [`BlockingCase`]: `(release, exec, deadline)` offsets from
+/// `now`.
+type Spec = (f64, f64, f64);
+
+/// How an extension-pool job joins the queue.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Extra {
+    Dense,
+    Future,
+    Pinned,
+}
+
+/// A GPU queue holding exactly one future release, plus a pool of jobs a
+/// search could still add to it.
+#[derive(Debug, Clone)]
+struct BlockingCase {
+    now: f64,
+    pinned: Option<Spec>,
+    dense: Vec<Spec>,
+    future: Spec,
+    /// Push-order sort keys for the queue's jobs.
+    keys: Vec<u32>,
+    pool: Vec<(Extra, Spec)>,
+}
+
+fn extra() -> impl Strategy<Value = Extra> {
+    prop_oneof![
+        Just(Extra::Dense),
+        Just(Extra::Dense),
+        Just(Extra::Future),
+        Just(Extra::Pinned),
+    ]
+}
+
+/// Lattice regime: every release and deadline within ±epsilon of a 1/8
+/// lattice point, execs on the lattice. The future job's deadline sits a
+/// lattice slack after its release plus its exec, so dense work straddling
+/// the release can block it.
+fn lattice_blocking_case() -> impl Strategy<Value = BlockingCase> {
+    let dense = || {
+        (lattice(0..32), lattice(1..160), 0usize..DEADLINE_EPS.len())
+            .prop_map(|(exec, deadline, e)| (0.0, exec, deadline + DEADLINE_EPS[e]))
+    };
+    let future = (
+        lattice(1..40),
+        0usize..EPS_OFFSETS.len(),
+        lattice(0..24),
+        lattice(0..16),
+        0usize..DEADLINE_EPS.len(),
+    )
+        .prop_map(|(release, e, exec, slack, d)| {
+            (
+                release + EPS_OFFSETS[e],
+                exec,
+                release + exec + slack + DEADLINE_EPS[d],
+            )
+        });
+    let pool_job = (
+        extra(),
+        lattice(1..40),
+        0usize..EPS_OFFSETS.len(),
+        lattice(0..24),
+        lattice(1..160),
+        0usize..DEADLINE_EPS.len(),
+    )
+        .prop_map(|(extra, release, e, exec, deadline, d)| {
+            let release = if extra == Extra::Future {
+                release + EPS_OFFSETS[e]
+            } else {
+                0.0
+            };
+            (extra, (release, exec, deadline + DEADLINE_EPS[d]))
+        });
+    (
+        lattice(0..64),
+        prop::option::of(dense()),
+        prop::collection::vec(dense(), 0..5),
+        future,
+        prop::collection::vec(0u32..1000, 6),
+        prop::collection::vec(pool_job, 0..5),
+    )
+        .prop_map(|(now, pinned, dense, future, keys, pool)| BlockingCase {
+            now,
+            pinned,
+            dense,
+            future,
+            keys,
+            pool,
+        })
+}
+
+/// Continuous regime: uniform floats on the same scales.
+fn continuous_blocking_case() -> impl Strategy<Value = BlockingCase> {
+    let dense = || (0.0f64..4.0, 0.1f64..20.0).prop_map(|(exec, deadline)| (0.0, exec, deadline));
+    let future = (0.01f64..5.0, 0.0f64..3.0, 0.0f64..2.0)
+        .prop_map(|(release, exec, slack)| (release, exec, release + exec + slack));
+    let pool_job = (extra(), 0.01f64..5.0, 0.0f64..3.0, 0.1f64..20.0).prop_map(
+        |(extra, release, exec, deadline)| {
+            let release = if extra == Extra::Future { release } else { 0.0 };
+            (extra, (release, exec, deadline))
+        },
+    );
+    (
+        0.0f64..100.0,
+        prop::option::of(dense()),
+        prop::collection::vec(dense(), 0..5),
+        future,
+        prop::collection::vec(0u32..1000, 6),
+        prop::collection::vec(pool_job, 0..5),
+    )
+        .prop_map(|(now, pinned, dense, future, keys, pool)| BlockingCase {
+            now,
+            pinned,
+            dense,
+            future,
+            keys,
+            pool,
+        })
+}
+
+/// Checks one case: whenever [`EdfTimeline::blocked_for_good`] fires, the
+/// engine rejects the queue extended by every subset of the pool (appended
+/// in pool order); oracle mode answers the same without the engine.
+/// Returns whether the query fired.
+fn check_blocking(case: &BlockingCase) -> Result<bool, TestCaseError> {
+    let now = Time::new(case.now);
+    let job = |key: usize, (release, exec, deadline): Spec| {
+        PlannedJob::new(
+            JobKey(key as u64),
+            now + Time::new(release),
+            Time::new(exec),
+            now + Time::new(deadline),
+        )
+    };
+    let mut jobs = Vec::new();
+    if let Some(spec) = case.pinned {
+        let mut pinned = job(0, spec);
+        pinned.pinned = true;
+        jobs.push(pinned);
+    }
+    for &spec in &case.dense {
+        jobs.push(job(jobs.len(), spec));
+    }
+    jobs.push(job(jobs.len(), case.future));
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| (case.keys[i], i));
+    let queue: Vec<PlannedJob> = order.into_iter().map(|i| jobs[i]).collect();
+
+    // The pool may add a pinned job only when the queue has none.
+    let mut pinned_free = case.pinned.is_none();
+    let pool: Vec<PlannedJob> = case
+        .pool
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &(extra, spec))| {
+            let mut j = job(100 + i, spec);
+            if extra == Extra::Pinned {
+                if !pinned_free {
+                    return None;
+                }
+                pinned_free = false;
+                j.pinned = true;
+            }
+            Some(j)
+        })
+        .collect();
+    let headroom = |d: Time| -> Time {
+        pool.iter()
+            .filter(|j| j.pinned || j.deadline <= d)
+            .map(|j| j.exec)
+            .sum()
+    };
+
+    let kind = ResourceKind::Gpu;
+    let mut timeline = EdfTimeline::new(kind, now);
+    let mut oracle = EdfTimeline::new(kind, now);
+    oracle.set_oracle(true);
+    for &j in &queue {
+        timeline.insert(j);
+        oracle.insert(j);
+    }
+    prop_assert!(
+        timeline.has_future(),
+        "the future job must classify as future"
+    );
+    let blocked = timeline.blocked_for_good(headroom);
+    prop_assert_eq!(blocked, oracle.blocked_for_good(headroom));
+    prop_assert_eq!(
+        oracle.engine_verdicts(),
+        0,
+        "the query never runs the engine"
+    );
+    if blocked {
+        let mut scratch = EdfScratch::new();
+        let mut extended = Vec::with_capacity(queue.len() + pool.len());
+        for subset in 0u32..1 << pool.len() {
+            extended.clear();
+            extended.extend_from_slice(&queue);
+            extended.extend(
+                (0..pool.len())
+                    .filter(|&i| subset >> i & 1 == 1)
+                    .map(|i| pool[i]),
+            );
+            prop_assert!(
+                !is_schedulable_with(kind, now, &extended, &mut scratch),
+                "blocked for good, yet the engine accepts the extension {:?}",
+                extended
+            );
+        }
+    }
+    Ok(blocked)
+}
+
+/// Runs [`check_blocking`] over `cases` draws of `strategy` and requires the
+/// query to fire on at least `min_share` of them, so the soundness check is
+/// not vacuous.
+fn blocking_is_sound<S>(test: &str, strategy: &S, cases: u32, min_share: f64)
+where
+    S: Strategy<Value = BlockingCase>,
+{
+    let (mut seen, mut fired) = (0u32, 0u32);
+    proptest::test_runner::execute(&ProptestConfig::with_cases(cases), test, strategy, |case| {
+        seen += 1;
+        fired += u32::from(check_blocking(&case)?);
+        Ok(())
+    });
+    assert!(
+        f64::from(fired) >= min_share * f64::from(seen),
+        "{test}: the blocking query fired on {fired} of {seen} cases"
+    );
+}
+
+/// The non-preemptive blocking cut the exact search prunes with is sound on
+/// exact dyadic times straddling every epsilon boundary: a queue reported
+/// blocked for good is infeasible under every extension the headroom covers.
+#[test]
+fn blocking_cut_is_sound_on_the_lattice() {
+    blocking_is_sound(
+        "incremental.rs::blocking_cut_is_sound_on_the_lattice",
+        &lattice_blocking_case(),
+        4000,
+        0.05,
+    );
+}
+
+/// As above on continuous times.
+#[test]
+fn blocking_cut_is_sound_on_continuous_times() {
+    blocking_is_sound(
+        "incremental.rs::blocking_cut_is_sound_on_continuous_times",
+        &continuous_blocking_case(),
+        4000,
+        0.05,
+    );
+}
+
 /// The fallback ladder's probe pattern from the managers' point of view: a
 /// dense working set plus `k` future-released phantoms, re-probed at rung
 /// `k`, then `k-1`, …, then `0`. On a preemptable resource every one of those

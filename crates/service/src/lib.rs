@@ -182,7 +182,9 @@ pub struct ServiceReport {
     pub wall_nanos: u64,
     /// Verdicts per wall-clock second.
     pub throughput_per_sec: f64,
-    /// Deepest ingress backlog any worker observed.
+    /// Deepest ingress backlog any worker observed: the ring's occupancy
+    /// just before a pop, the event being served included, so it never
+    /// exceeds the ring's capacity.
     pub max_backlog: usize,
     /// Events the producer had to spin on because a ring was full.
     pub backpressure_waits: u64,
@@ -331,6 +333,11 @@ where
                 scratch.prime(&simulator);
                 let mut sessions: HashMap<usize, TraceSlot> = HashMap::new();
                 loop {
+                    // Occupancy is read before the pop: this worker is the
+                    // ring's only consumer, so the reading never exceeds the
+                    // capacity, whereas after the pop the producer may
+                    // already have refilled the freed slot.
+                    let queued = ingress.len();
                     let Some(event) = ingress.try_pop() else {
                         if producer_done.load(Ordering::Acquire) && ingress.is_empty() {
                             break;
@@ -338,8 +345,9 @@ where
                         std::hint::spin_loop();
                         continue;
                     };
-                    let backlog = ingress.len();
-                    max_backlog.fetch_max(backlog + 1, Ordering::Relaxed);
+                    // The popped event counts even if it landed after the read.
+                    max_backlog.fetch_max(queued.max(1), Ordering::Relaxed);
+                    let backlog = queued.saturating_sub(1);
                     let slot = sessions.entry(event.trace).or_insert_with(|| {
                         let setup = make_predictor(event.trace);
                         let overhead = setup.as_ref().map_or(Time::ZERO, |s| s.overhead);
