@@ -318,6 +318,17 @@ fn merge(
         Ok(())
     };
 
+    // Shards are read before the canonical checkpoint: a concurrent merger
+    // publishes the canonical before it removes the shards, so the cells of
+    // a shard that vanished under this read are in the canonical read next.
+    // In the other order a shard removed between the two reads loses its
+    // cells. Folding stays canonical first.
+    let mut shards = list_shards(dir, spec.name);
+    shards.sort();
+    let shard_texts: Vec<(&PathBuf, String)> = shards
+        .iter()
+        .filter_map(|shard| Some((shard, fs::read_to_string(shard).ok()?)))
+        .collect();
     if let Ok(text) = fs::read_to_string(canonical) {
         match load_checkpoint(&text, spec, trace_len) {
             Loaded::Cells(cells) => fold("", cells)?,
@@ -326,13 +337,8 @@ fn merge(
             Loaded::HeaderMismatch | Loaded::Corrupt => {}
         }
     }
-    let mut shards = list_shards(dir, spec.name);
-    shards.sort();
-    for shard in &shards {
-        let Ok(text) = fs::read_to_string(shard) else {
-            continue;
-        };
-        match load_checkpoint(&text, spec, trace_len) {
+    for (shard, text) in &shard_texts {
+        match load_checkpoint(text, spec, trace_len) {
             Loaded::Cells(cells) => fold(&shard_owner(shard, spec.name), cells)?,
             Loaded::HeaderMismatch => {}
             Loaded::Corrupt => eprintln!(
@@ -449,6 +455,7 @@ fn remove_shard_files(dir: &Path, name: &str) {
 /// Every completed cell visible right now: canonical checkpoint ∪ shards.
 /// Unreadable or mismatched files contribute nothing (their cells are simply
 /// recomputed) — this view only gates *skipping* work, never correctness.
+/// Shards are read first, for the reason [`merge`] gives.
 fn read_completed(
     dir: &Path,
     canonical: &Path,
@@ -456,16 +463,16 @@ fn read_completed(
     trace_len: usize,
 ) -> Result<BTreeMap<String, CellMetrics>, SweepError> {
     let mut done = BTreeMap::new();
-    if let Ok(text) = fs::read_to_string(canonical) {
-        if let Loaded::Cells(cells) = load_checkpoint(&text, spec, trace_len) {
-            done.extend(cells);
-        }
-    }
     for shard in list_shards(dir, spec.name) {
         if let Ok(text) = fs::read_to_string(&shard) {
             if let Loaded::Cells(cells) = load_checkpoint(&text, spec, trace_len) {
                 done.extend(cells);
             }
+        }
+    }
+    if let Ok(text) = fs::read_to_string(canonical) {
+        if let Loaded::Cells(cells) = load_checkpoint(&text, spec, trace_len) {
+            done.extend(cells);
         }
     }
     Ok(done)

@@ -24,7 +24,7 @@
 //! one `results/` directory.
 
 use std::fs;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -96,9 +96,13 @@ fn chaos_child_entry() {
 struct ChildGuard(Option<Child>);
 
 impl ChildGuard {
-    fn wait(mut self) -> std::process::ExitStatus {
-        let mut child = self.0.take().expect("child present");
-        child.wait().expect("wait on chaos child")
+    /// Waits for the worker and returns its exit status with everything it
+    /// wrote to stderr, so a failed worker can say why.
+    fn wait(mut self) -> (ExitStatus, String) {
+        let child = self.0.take().expect("child present");
+        let output = child.wait_with_output().expect("wait on chaos child");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status, stderr)
     }
 }
 
@@ -112,15 +116,18 @@ impl Drop for ChildGuard {
 }
 
 /// Spawns this same test binary as a cooperative worker process with the
-/// given owner id and kill schedule (`""` = run to completion).
+/// given owner id and kill schedule (`""` = run to completion). Its stderr
+/// is piped for [`ChildGuard::wait`]; `--nocapture` sends a panic's message
+/// there instead of into the test harness's captured stdout.
 fn spawn_worker(owner: &str, failpoints: &str) -> ChildGuard {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = Command::new(exe);
     cmd.arg("chaos_child_entry")
         .arg("--exact")
+        .arg("--nocapture")
         .env("RTRM_CHAOS_OWNER", owner)
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
+        .stderr(Stdio::piped());
     if failpoints.is_empty() {
         cmd.env_remove("RTRM_FAILPOINTS");
     } else {
@@ -181,10 +188,11 @@ fn run_schedule(failpoints: &str) {
     let outcome =
         run_sweep(&chaos_spec(), &coop_options("survivor")).expect("surviving worker completes");
 
-    let status = victim.wait();
+    let (status, stderr) = victim.wait();
     assert!(
         !status.success(),
-        "the victim must have been killed by its armed abort ({failpoints}), got {status}"
+        "the victim must have been killed by its armed abort ({failpoints}), got {status}; \
+         stderr:\n{stderr}"
     );
 
     assert_eq!(outcome.cells.len(), 4, "survivor sees the full grid");
@@ -246,8 +254,11 @@ fn four_process_cooperative_run_matches_sequential() {
         .map(|i| spawn_worker(&format!("proc{i}"), ""))
         .collect();
     for (i, worker) in workers.into_iter().enumerate() {
-        let status = worker.wait();
-        assert!(status.success(), "worker proc{i} failed: {status}");
+        let (status, stderr) = worker.wait();
+        assert!(
+            status.success(),
+            "worker proc{i} failed: {status}; stderr:\n{stderr}"
+        );
     }
 
     // A late in-process worker finds everything covered, executes nothing,

@@ -163,7 +163,7 @@ pub trait ResourceManager {
     /// pools carry no plan state, only reusable allocations and exact-keyed
     /// memo entries. The default implementation ignores the pool; managers
     /// with a hot placement search ([`HeuristicRm`](crate::HeuristicRm),
-    /// [`ExactRm`](crate::ExactRm)) override it.
+    /// [`ExactRm`](crate::ExactRm), [`MilpRm`](crate::MilpRm)) override it.
     fn decide_with_pool(
         &mut self,
         activation: &Activation<'_>,
@@ -234,6 +234,11 @@ pub struct TimelinePool {
     index: Option<PlatformIndex>,
     /// Recycled per-decide candidate table for the pruned decide path.
     table: CandidateTable,
+    /// Recycled restart-free table the exact managers seed from, built as
+    /// [`HeuristicRm`](crate::HeuristicRm) builds its own so their warm
+    /// seeds and heuristic floors run the pruned heuristic on this pool.
+    /// Its counters stay out of [`prune_stats`](TimelinePool::prune_stats).
+    seed_table: CandidateTable,
     /// Recycled per-rung look-ahead of the exact search's blocking cut.
     pub(crate) lookahead: Lookahead,
 }
@@ -316,7 +321,8 @@ impl TimelinePool {
     }
 
     /// Cumulative pruned-path behaviour counters (table rebuilds, row
-    /// storage kinds, shortlist widenings).
+    /// storage kinds, shortlist widenings) of the decide's own table; the
+    /// exact managers' seed table is not counted.
     #[must_use]
     pub fn prune_stats(&self) -> PruneStats {
         self.table.stats()
@@ -330,14 +336,31 @@ impl TimelinePool {
         std::mem::take(&mut self.table)
     }
 
-    /// Moves the cached index out alongside [`take_table`](TimelinePool::take_table).
+    /// Moves the recycled seed table out, like
+    /// [`take_table`](TimelinePool::take_table); return it with
+    /// [`restore_seed_table`](TimelinePool::restore_seed_table).
+    pub(crate) fn take_seed_table(&mut self) -> CandidateTable {
+        std::mem::take(&mut self.seed_table)
+    }
+
+    /// Moves the cached index out alongside the tables; return it with
+    /// [`restore_index`](TimelinePool::restore_index).
     pub(crate) fn take_index(&mut self) -> Option<PlatformIndex> {
         self.index.take()
     }
 
-    /// Returns the table (and index) taken at the start of a decide.
-    pub(crate) fn restore_table(&mut self, table: CandidateTable, index: Option<PlatformIndex>) {
+    /// Returns the table taken at the start of a decide.
+    pub(crate) fn restore_table(&mut self, table: CandidateTable) {
         self.table = table;
+    }
+
+    /// Returns the seed table taken at the start of a decide.
+    pub(crate) fn restore_seed_table(&mut self, table: CandidateTable) {
+        self.seed_table = table;
+    }
+
+    /// Returns the index taken at the start of a decide.
+    pub(crate) fn restore_index(&mut self, index: Option<PlatformIndex>) {
         if self.index.is_none() {
             self.index = index;
         }

@@ -149,7 +149,12 @@ pub fn decide_with_fallback<F>(activation: &Activation<'_>, mut solve: F) -> Dec
 where
     F: FnMut(&Activation<'_>, usize) -> Option<Plan>,
 {
-    decide_with_fallback_tracked(activation, |act, k| Attempt::from(solve(act, k)), |_| None)
+    decide_with_fallback_tracked(
+        activation,
+        &mut (),
+        |(), act, k| Attempt::from(solve(act, k)),
+        |_, _| None,
+    )
 }
 
 /// The fault-tolerant form of [`decide_with_fallback`]: rungs report
@@ -165,14 +170,19 @@ where
 /// *infeasible* is the paper's normal fallback, not degradation), when the
 /// *winning* rung itself timed out and handed back its anytime incumbent
 /// (the plan is feasible but possibly suboptimal), or from the `floor`.
-pub fn decide_with_fallback_tracked<F, G>(
+///
+/// `state` is lent to every `solve` and `floor` call in turn, so both can
+/// plan in one caller-held pool (and scan one candidate table) without
+/// either closure having to own it.
+pub fn decide_with_fallback_tracked<S, F, G>(
     activation: &Activation<'_>,
+    state: &mut S,
     mut solve: F,
     mut floor: G,
 ) -> Decision
 where
-    F: FnMut(&Activation<'_>, usize) -> Attempt,
-    G: FnMut(&Activation<'_>) -> Option<Plan>,
+    F: FnMut(&mut S, &Activation<'_>, usize) -> Attempt,
+    G: FnMut(&mut S, &Activation<'_>) -> Option<Plan>,
 {
     let mut timeouts: u32 = 0;
     let mut timed_out_above = false;
@@ -183,7 +193,7 @@ where
         decision
     };
     for k in (1..=activation.predicted.len()).rev() {
-        let attempt = solve(activation, k);
+        let attempt = solve(state, activation, k);
         if attempt.timed_out {
             timeouts += 1;
         }
@@ -192,7 +202,7 @@ where
         }
         timed_out_above |= attempt.timed_out;
     }
-    let attempt = solve(activation, 0);
+    let attempt = solve(state, activation, 0);
     if attempt.timed_out {
         timeouts += 1;
     }
@@ -201,7 +211,7 @@ where
     }
     timed_out_above |= attempt.timed_out;
     if timed_out_above {
-        if let Some(plan) = floor(activation) {
+        if let Some(plan) = floor(state, activation) {
             return finish(plan, false, true, timeouts);
         }
     }
@@ -246,7 +256,7 @@ mod tests {
             arriving,
             predicted: &phantom,
         };
-        decide_with_fallback_tracked(&activation, |_, k| rungs(k), |_| floor())
+        decide_with_fallback_tracked(&activation, &mut (), |_, _, k| rungs(k), |_, _| floor())
     }
 
     #[test]

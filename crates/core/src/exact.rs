@@ -91,7 +91,17 @@ pub struct ExactRm {
     /// answer and admission never degrades below the cold baseline.
     /// Disable for the cold A/B baseline.
     ///
+    /// The seed is the pruned heuristic's plan for the rung
+    /// (`HeuristicRm::solve_with_table`). It scans a second, restart-free
+    /// [`CandidateTable`] that the decide builds once with the parameters of
+    /// [`HeuristicRm`]'s own decide and recycles in the [`TimelinePool`],
+    /// and it plans in the decide's own pool, so its feasibility probes
+    /// count in [`TimelinePool::engine_verdicts`]. The heuristic floor is
+    /// planned the same way. Only the [`unpruned_candidates`] reference
+    /// path seeds from the legacy unpruned heuristic on a fresh pool.
+    ///
     /// [`node_budget`]: ExactRm::node_budget
+    /// [`unpruned_candidates`]: ExactRm::unpruned_candidates
     pub warm_start: bool,
     /// Drop candidates dominated within their (resource, pinned) group —
     /// strictly cheaper energy at no more execution time — before the
@@ -165,8 +175,8 @@ impl ExactRm {
     }
 
     /// The pre-pruning rung solve: rebuilds, filters, and sorts every
-    /// candidate list per rung. Kept verbatim as the differential/bench
-    /// baseline.
+    /// candidate list per rung, and seeds from the unpruned heuristic on a
+    /// fresh pool. Kept verbatim as the differential/bench baseline.
     fn solve_unpruned(
         &self,
         activation: &Activation<'_>,
@@ -207,13 +217,33 @@ impl ExactRm {
         if self.presolve {
             drop_dominated_rows(&mut cand, activation.platform.len());
         }
-        self.branch_and_bound(activation, num_phantoms, n_real, &jobs, &cand, &keys, pool)
+        let seed = if self.warm_start {
+            let mut warm_pool = TimelinePool::new();
+            warm_pool.set_oracle(self.oracle_feasibility);
+            HeuristicRm::new()
+                .solve_unpruned_with_chosen(activation, num_phantoms, &mut warm_pool)
+                .map(|(_, chosen)| chosen.into_iter().map(Some).collect())
+        } else {
+            None
+        };
+        self.branch_and_bound(
+            activation,
+            num_phantoms,
+            n_real,
+            &jobs,
+            &cand,
+            &keys,
+            seed,
+            pool,
+        )
     }
 
     /// The shared search: branching order, suffix minima, DFS, and plan
     /// extraction — identical for both candidate sources. `keys` carries the
     /// per-job (candidate count, energy spread) branching keys, measured on
     /// the pre-dominance rows so presolved and unpresolved runs agree.
+    /// `seed` is the heuristic's job-indexed plan for this rung, the warm
+    /// start's injected incumbent (`None` runs cold).
     #[allow(clippy::too_many_arguments)]
     fn branch_and_bound(
         &self,
@@ -223,6 +253,7 @@ impl ExactRm {
         jobs: &[JobView],
         cand: &[Vec<Candidate>],
         keys: &[(usize, Energy)],
+        seed: Option<Vec<Option<Candidate>>>,
         pool: &mut TimelinePool,
     ) -> Attempt {
         // Branching order, pseudocost-lite: most constrained task first
@@ -251,26 +282,18 @@ impl ExactRm {
         let mut lookahead = std::mem::take(&mut pool.lookahead);
         lookahead.rebuild(activation, jobs, cand, &order);
 
-        // Warm start: seed the incumbent with the heuristic's plan. Its cost
-        // is re-summed in `order` position order — the same left-to-right
-        // fold the DFS uses — so when the search reaches the same leaf it
-        // computes the same float, and the `<=` replacement below fires.
-        let mut warm: Option<(Energy, Vec<Option<Candidate>>)> = if self.warm_start {
-            let mut warm_pool = TimelinePool::new();
-            warm_pool.set_oracle(self.oracle_feasibility);
-            HeuristicRm::new()
-                .solve_unpruned_with_chosen(activation, num_phantoms, &mut warm_pool)
-                .filter(|(_, chosen)| chosen.len() == jobs.len())
-                .map(|(_, chosen)| {
-                    let mut cost = Energy::ZERO;
-                    for &j in &order {
-                        cost += chosen[j].energy;
-                    }
-                    (cost, chosen.into_iter().map(Some).collect())
-                })
-        } else {
-            None
-        };
+        // Warm start: the seed is the incumbent. Its cost is re-summed in
+        // `order` position order — the same left-to-right fold the DFS uses
+        // — so when the search reaches the same leaf it computes the same
+        // float, and the `<=` replacement below fires.
+        let mut warm: Option<(Energy, Vec<Option<Candidate>>)> = seed.map(|chosen| {
+            debug_assert_eq!(chosen.len(), jobs.len(), "the seed plans this rung");
+            let mut cost = Energy::ZERO;
+            for &j in &order {
+                cost += chosen[j].expect("the seed maps every job").energy;
+            }
+            (cost, chosen)
+        });
 
         // Nodes spent by a warm run that fell through to the cold rerun,
         // carried into the reported count so the extra spend is visible.
@@ -645,29 +668,27 @@ impl ResourceManager for ExactRm {
         pool: &mut TimelinePool,
     ) -> Decision {
         pool.set_oracle(self.oracle_feasibility);
-        let oracle = self.oracle_feasibility;
         // Heuristic floor: only consulted when every branch & bound rung
-        // failed and at least one failure was a wall-clock expiry. It
-        // plans in a fresh pool because the ladder's pool is still
-        // borrowed by the rung closure; both decide paths use the same
-        // floor, so pruned and unpruned degrade identically.
-        let floor = |act: &Activation<'_>| {
-            let mut floor_pool = TimelinePool::new();
-            floor_pool.set_oracle(oracle);
-            HeuristicRm::new().solve_unpruned(act, 0, &mut floor_pool)
-        };
+        // failed and at least one failure was a wall-clock expiry. The
+        // ladder lends it the pool the rungs plan in.
+        let heuristic = HeuristicRm::new();
         if self.unpruned_candidates {
             return decide_with_fallback_tracked(
                 activation,
-                |act, k| self.solve_unpruned(act, k, pool),
-                floor,
+                pool,
+                |pool, act, k| self.solve_unpruned(act, k, pool),
+                |pool, act| heuristic.solve_unpruned(act, 0, pool),
             );
         }
         // Candidate rows built once per decide and shared across all rungs:
         // rung `k` slices the prefix of `n_real + k` deadline-filtered rows.
+        // The seed table is the pruned heuristic's own (restart-free), from
+        // which every rung's warm seed and the floor are planned.
         let mut table = pool.take_table();
+        let mut seeds = pool.take_seed_table();
         let index = pool.take_index();
         table.rebuild(activation, true, self.gpu_restart_in_place, index.as_ref());
+        seeds.rebuild(activation, true, false, index.as_ref());
         let mut cand_all = self.rung_rows(activation, &mut table, index.as_ref());
         // Branch-order keys are taken before the dominance drop so the
         // presolved and unpresolved searches walk the same tree shape.
@@ -678,12 +699,20 @@ impl ResourceManager for ExactRm {
         let n_real = activation.active.len() + 1;
         let decision = decide_with_fallback_tracked(
             activation,
-            |act, k| {
+            &mut (&mut *pool, &mut seeds),
+            |(pool, seeds), act, k| {
                 let n_jobs = n_real + k;
                 let cand = &cand_all[..n_jobs];
                 if cand.iter().any(Vec::is_empty) {
                     return Attempt::default();
                 }
+                let seed = if self.warm_start {
+                    heuristic
+                        .solve_with_table(act, k, seeds, index.as_ref(), pool)
+                        .map(|(_, chosen)| chosen)
+                } else {
+                    None
+                };
                 self.branch_and_bound(
                     act,
                     k,
@@ -691,12 +720,19 @@ impl ResourceManager for ExactRm {
                     &table.jobs()[..n_jobs],
                     cand,
                     &keys_all[..n_jobs],
+                    seed,
                     pool,
                 )
             },
-            floor,
+            |(pool, seeds), act| {
+                heuristic
+                    .solve_with_table(act, 0, seeds, index.as_ref(), pool)
+                    .map(|(plan, _)| plan)
+            },
         );
-        pool.restore_table(table, index);
+        pool.restore_table(table);
+        pool.restore_seed_table(seeds);
+        pool.restore_index(index);
         decision
     }
 

@@ -85,6 +85,15 @@ impl HeuristicRm {
     /// per-iteration capacity filters commute with the row's stable
     /// `(energy, resource)` sort, and the ranked scan's two-pass partition
     /// *is* the desirability order (see `prune` module docs).
+    ///
+    /// Besides the plan it hands back the job-indexed chosen-candidate
+    /// vector it mapped with — *including* the phantom rows that
+    /// [`Plan::placements`] omits, every entry `Some`. The exact managers
+    /// seed their searches from it: re-summing the chosen energies in the
+    /// search's own branching order reproduces the exact leaf cost the
+    /// search would compute for this assignment, which the bit-identity
+    /// protocol of the injected incumbent relies on. The table must be
+    /// built `sorted` and restart-free (`gpu_restart_in_place = false`).
     pub(crate) fn solve_with_table(
         &self,
         activation: &Activation<'_>,
@@ -92,7 +101,7 @@ impl HeuristicRm {
         table: &mut CandidateTable,
         index: Option<&PlatformIndex>,
         pool: &mut TimelinePool,
-    ) -> Option<Plan> {
+    ) -> Option<(Plan, Vec<Option<Candidate>>)> {
         let n_real = activation.active.len() + 1;
         let n_jobs = n_real + num_phantoms;
         let now = activation.now;
@@ -187,7 +196,7 @@ impl HeuristicRm {
         } else {
             Vec::new()
         };
-        Some(Plan {
+        let plan = Plan {
             placements: jobs[..n_real]
                 .iter()
                 .zip(&chosen)
@@ -196,12 +205,14 @@ impl HeuristicRm {
             objective,
             nodes: iterations,
             start_gates,
-        })
+        };
+        Some((plan, chosen))
     }
 
     /// The pre-pruning rung solve: rebuilds every candidate list per rung
     /// and re-filters/sorts per mapping iteration. Kept verbatim as the
-    /// differential/bench baseline and as the ladder floor.
+    /// differential/bench baseline: only the `unpruned_candidates` paths of
+    /// this manager and of [`ExactRm`](crate::ExactRm) call it.
     pub(crate) fn solve_unpruned(
         &self,
         activation: &Activation<'_>,
@@ -213,12 +224,10 @@ impl HeuristicRm {
     }
 
     /// [`solve_unpruned`](HeuristicRm::solve_unpruned) plus the full
-    /// job-indexed chosen-candidate vector — *including* the phantom rows
-    /// that [`Plan::placements`] omits. The exact managers seed their
-    /// branch & bound incumbent from it: re-summing the chosen energies in
-    /// the search's own branching order reproduces the exact leaf cost the
-    /// search would compute for this assignment, which the bit-identity
-    /// protocol of the injected incumbent relies on.
+    /// job-indexed chosen-candidate vector, the legacy counterpart of
+    /// [`solve_with_table`](HeuristicRm::solve_with_table)'s. Only the
+    /// `unpruned_candidates` reference path of [`ExactRm`](crate::ExactRm)
+    /// seeds from it.
     pub(crate) fn solve_unpruned_with_chosen(
         &self,
         activation: &Activation<'_>,
@@ -381,8 +390,10 @@ impl ResourceManager for HeuristicRm {
         table.rebuild(activation, true, false, index.as_ref());
         let decision = decide_with_fallback(activation, |act, k| {
             self.solve_with_table(act, k, &mut table, index.as_ref(), pool)
+                .map(|(plan, _)| plan)
         });
-        pool.restore_table(table, index);
+        pool.restore_table(table);
+        pool.restore_index(index);
         decision
     }
 }
@@ -514,5 +525,24 @@ mod tests {
         let unpruned = unpruned_rm.decide(&activation);
         assert_eq!(pruned, unpruned);
         assert!(pruned.admitted);
+
+        // The chosen vectors the exact managers seed from agree on every
+        // rung, phantom rows included, with and without an index.
+        let heuristic = HeuristicRm::new();
+        for index in [None, Some(PlatformIndex::build(&platform, &catalog))] {
+            let mut table = CandidateTable::new();
+            table.rebuild(&activation, true, false, index.as_ref());
+            let mut pool = TimelinePool::new();
+            for k in 0..=predicted.len() {
+                let (_, pruned) = heuristic
+                    .solve_with_table(&activation, k, &mut table, index.as_ref(), &mut pool)
+                    .expect("the pruned solve maps every job");
+                let (_, unpruned) = heuristic
+                    .solve_unpruned_with_chosen(&activation, k, &mut TimelinePool::new())
+                    .expect("the unpruned solve maps every job");
+                let unpruned: Vec<_> = unpruned.into_iter().map(Some).collect();
+                assert_eq!(pruned, unpruned, "rung {k}, index {}", index.is_some());
+            }
+        }
     }
 }

@@ -38,7 +38,7 @@
 use rtrm_milp::{Model, Sense, SolveError, SolveOptions, Termination, VarId};
 use rtrm_platform::{Energy, ResourceKind, Time};
 
-use crate::activation::{Activation, Decision, ResourceManager, TimelinePool};
+use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
 use crate::cost::{candidates, Candidate};
 use crate::driver::{decide_with_fallback_tracked, Attempt, Plan};
 use crate::heuristic::HeuristicRm;
@@ -62,7 +62,9 @@ pub struct MilpRm {
     /// prunes against it with the exact bound, replacing it with the first
     /// equally good search-discovered solution — decisions stay
     /// bit-identical to a cold solve. Enabled by default; disable for the
-    /// cold A/B baseline.
+    /// cold A/B baseline. The seeds (and the heuristic floor) come from the
+    /// pruned heuristic in the decide's [`TimelinePool`], as
+    /// [`ExactRm::warm_start`](crate::ExactRm::warm_start) describes.
     pub warm_start: bool,
 }
 
@@ -80,7 +82,7 @@ impl Default for MilpRm {
 /// candidate per real job, plus the first phantom's placement when the rung
 /// models one.
 struct WarmSeed {
-    real: Vec<Candidate>,
+    real: Vec<Option<Candidate>>,
     pred: Option<Candidate>,
 }
 
@@ -193,7 +195,8 @@ impl MilpRm {
     /// per decide and shared across all rungs (the deadline filter depends
     /// on the activation, not the rung): previously `candidates()` was
     /// recomputed from scratch for every rung even though every rung plans
-    /// the same real jobs.
+    /// the same real jobs. The reservation gates are replayed in `pool`.
+    #[allow(clippy::too_many_arguments)]
     fn solve(
         &self,
         activation: &Activation<'_>,
@@ -202,6 +205,7 @@ impl MilpRm {
         real_cands: &[Vec<Candidate>],
         pred_cands: &[Candidate],
         warm: Option<&WarmSeed>,
+        pool: &mut TimelinePool,
     ) -> Attempt {
         // The paper's formulation models a single predicted task; with a
         // longer lookahead this encoding honours the nearest phantom only
@@ -242,7 +246,7 @@ impl MilpRm {
                 cs.iter()
                     .map(|c| {
                         if let (Some(vals), Some(seed)) = (warm_vals.as_mut(), warm) {
-                            vals.push(f64::from(seed.real[j] == *c));
+                            vals.push(f64::from(seed.real[j] == Some(*c)));
                         }
                         model.binary(c.energy.value())
                     })
@@ -495,8 +499,7 @@ impl MilpRm {
                     .find(|(_, v)| solution.value(**v) > 0.5)
                     .map(|(c, _)| *c)
                     .expect("constraint (1) forces one placement");
-                let mut pool = crate::activation::TimelinePool::new();
-                let mut plan = crate::activation::PlanBuilder::new(activation, &mut pool);
+                let mut plan = PlanBuilder::new(activation, pool);
                 for (job, c) in real_jobs.iter().zip(placements.iter().map(|(_, c)| c)) {
                     plan.place(job, c);
                 }
@@ -523,6 +526,17 @@ impl ResourceManager for MilpRm {
     }
 
     fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        let mut pool = TimelinePool::new();
+        self.decide_with_pool(activation, &mut pool)
+    }
+
+    fn decide_with_pool(
+        &mut self,
+        activation: &Activation<'_>,
+        pool: &mut TimelinePool,
+    ) -> Decision {
+        // No oracle mode: seeds, floor and gates probe incrementally.
+        pool.set_oracle(false);
         // Candidate rows are rung-independent (the deadline filter uses the
         // activation's `t_left`, not the rung), so build them once and share
         // them across the whole fallback ladder.
@@ -548,15 +562,18 @@ impl ResourceManager for MilpRm {
         // Heuristic warm seeds, one per rung shape: every rung with k ≥ 1
         // phantoms encodes only the nearest one (see `solve`), so a single
         // 1-phantom seed covers them all and a 0-phantom seed covers the
-        // rest. Computed once per decide, not per rung.
+        // rest. Computed once per decide, not per rung, by the pruned
+        // heuristic over the pool's restart-free seed table.
+        let mut seeds = pool.take_seed_table();
+        let index = pool.take_index();
+        seeds.rebuild(activation, true, false, index.as_ref());
+        let heuristic = HeuristicRm::new();
         let n_real = real_jobs.len();
-        let seed = |kp: usize| -> Option<WarmSeed> {
-            let mut pool = TimelinePool::new();
-            HeuristicRm::new()
-                .solve_unpruned_with_chosen(activation, kp, &mut pool)
-                .filter(|(_, chosen)| chosen.len() == n_real + kp)
+        let mut seed = |kp: usize| -> Option<WarmSeed> {
+            heuristic
+                .solve_with_table(activation, kp, &mut seeds, index.as_ref(), pool)
                 .map(|(_, mut chosen)| {
-                    let pred = chosen.get(n_real).copied();
+                    let pred = chosen.get(n_real).copied().flatten();
                     chosen.truncate(n_real);
                     WarmSeed { real: chosen, pred }
                 })
@@ -572,23 +589,28 @@ impl ResourceManager for MilpRm {
             (None, None)
         };
 
-        decide_with_fallback_tracked(
+        let decision = decide_with_fallback_tracked(
             activation,
-            |act, k| {
+            &mut (&mut *pool, &mut seeds),
+            |(pool, _), act, k| {
                 let warm = if k > 0 && !act.predicted.is_empty() {
                     warm1.as_ref()
                 } else {
                     warm0.as_ref()
                 };
-                self.solve(act, k, &real_jobs, &real_cands, &pred_cands, warm)
+                self.solve(act, k, &real_jobs, &real_cands, &pred_cands, warm, pool)
             },
             // Heuristic floor: only consulted when every MILP rung failed and
             // at least one of those failures was a wall-clock expiry.
-            |act| {
-                let mut pool = TimelinePool::new();
-                HeuristicRm::new().solve_unpruned(act, 0, &mut pool)
+            |(pool, seeds), act| {
+                heuristic
+                    .solve_with_table(act, 0, seeds, index.as_ref(), pool)
+                    .map(|(plan, _)| plan)
             },
-        )
+        );
+        pool.restore_seed_table(seeds);
+        pool.restore_index(index);
+        decision
     }
 
     fn set_wall_clock(&mut self, budget: Option<f64>) {

@@ -225,9 +225,11 @@ proptest! {
     }
 
     /// The exact manager's pruned path matches its legacy path on platforms
-    /// small enough for branch & bound.
+    /// small enough for branch & bound, both unbudgeted and under a binding
+    /// node budget — where a warm run cut before it replaced its seed
+    /// reruns cold, so the pruned path's seed is compared there too.
     #[test]
-    fn exact_pruned_matches_unpruned(s in scenario(6, 4)) {
+    fn exact_pruned_matches_unpruned(s in scenario(6, 4), budget in 1u64..=64) {
         let (platform, catalog, active, arriving, predicted) = build(&s);
         let phantoms: Vec<_> = predicted.into_iter().collect();
         let activation = Activation {
@@ -238,13 +240,16 @@ proptest! {
             arriving,
             predicted: &phantoms,
         };
-        let mut pruned = ExactRm::new();
-        let mut unpruned = ExactRm::new();
-        unpruned.unpruned_candidates = true;
-        let (legacy, plain, indexed, _) =
-            decide_three_ways(&activation, &mut pruned, &mut unpruned);
-        prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged");
-        prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged");
+        for mut pruned in [ExactRm::new(), ExactRm::with_node_budget(budget)] {
+            let mut unpruned = ExactRm {
+                unpruned_candidates: true,
+                ..pruned.clone()
+            };
+            let (legacy, plain, indexed, _) =
+                decide_three_ways(&activation, &mut pruned, &mut unpruned);
+            prop_assert_eq!(&plain, &legacy, "pruned (no index) diverged, budget {}", pruned.node_budget);
+            prop_assert_eq!(&indexed, &legacy, "pruned (indexed) diverged, budget {}", pruned.node_budget);
+        }
     }
 }
 

@@ -2,12 +2,15 @@
 //! wall-clock budget — including zero — the fallback ladder never emits an
 //! infeasible plan and never rejects an activation the pure heuristic
 //! (planning without prediction) would admit; a zero budget degrades the
-//! whole run to exactly the pure heuristic's, and an unbounded budget is
-//! bit-identical to no budget at all.
+//! whole run to exactly the pure heuristic's (for the exact branch & bound
+//! manager too, whose floor plans in the same pool), and an unbounded
+//! budget is bit-identical to no budget at all.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use rtrm_core::{Activation, Decision, HeuristicRm, MilpRm, ResourceManager};
+use rtrm_core::{
+    Activation, Decision, ExactRm, HeuristicRm, MilpRm, ResourceManager, TimelinePool,
+};
 use rtrm_platform::{Platform, TaskCatalog, Trace};
 use rtrm_predict::OraclePredictor;
 use rtrm_sim::{SimConfig, SimReport, Simulator};
@@ -46,17 +49,15 @@ fn world(seed: u64, length: usize) -> (Platform, TaskCatalog, Vec<Trace>) {
 ///    an expired rung. This pins the incumbent-accounting fix in
 ///    `decide_with_fallback_tracked` (a timed-out *winning* rung used to
 ///    report `degraded: false`).
-struct NeverWorse {
-    inner: MilpRm,
+///
+/// Both decide paths are forwarded, so the simulator drives the inner
+/// manager through its pool-taking one.
+struct NeverWorse<M> {
+    inner: M,
 }
 
-impl ResourceManager for NeverWorse {
-    fn name(&self) -> &str {
-        "never-worse"
-    }
-
-    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
-        let decision = self.inner.decide(activation);
+impl<M> NeverWorse<M> {
+    fn check(activation: &Activation<'_>, decision: Decision) -> Decision {
         if decision.admitted && decision.solver_timeouts > 0 {
             assert!(
                 decision.degraded,
@@ -79,10 +80,31 @@ impl ResourceManager for NeverWorse {
     }
 }
 
-fn run_anytime(sim: &Simulator, catalog: &TaskCatalog, trace: &Trace, budget: f64) -> SimReport {
-    let mut manager = NeverWorse {
-        inner: MilpRm::with_wall_clock(budget),
-    };
+impl<M: ResourceManager> ResourceManager for NeverWorse<M> {
+    fn name(&self) -> &str {
+        "never-worse"
+    }
+
+    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        Self::check(activation, self.inner.decide(activation))
+    }
+
+    fn decide_with_pool(
+        &mut self,
+        activation: &Activation<'_>,
+        pool: &mut TimelinePool,
+    ) -> Decision {
+        Self::check(activation, self.inner.decide_with_pool(activation, pool))
+    }
+}
+
+fn run_anytime<M: ResourceManager>(
+    sim: &Simulator,
+    catalog: &TaskCatalog,
+    trace: &Trace,
+    inner: M,
+) -> SimReport {
+    let mut manager = NeverWorse { inner };
     let mut oracle = OraclePredictor::perfect(trace, catalog.len());
     sim.run(trace, &mut manager, Some(&mut oracle))
 }
@@ -101,7 +123,7 @@ proptest! {
         let (platform, catalog, traces) = world(seed, 15);
         let sim = Simulator::new(&platform, &catalog, SimConfig::default());
         for trace in &traces {
-            let report = run_anytime(&sim, &catalog, trace, budget);
+            let report = run_anytime(&sim, &catalog, trace, MilpRm::with_wall_clock(budget));
             prop_assert_eq!(report.deadline_misses, 0, "budget {}", budget);
             prop_assert_eq!(report.completed, report.accepted);
             prop_assert_eq!(report.accepted + report.rejected, report.requests);
@@ -113,7 +135,8 @@ proptest! {
     }
 }
 
-/// A zero budget starves every MILP rung, so the whole run degrades to
+/// A zero budget starves every rung of both anytime managers (the MILP
+/// encoding and the exact branch & bound), so the whole run degrades to
 /// exactly the pure heuristic without prediction — same admissions, same
 /// energy, bit for bit (modulo the fault accounting, which must show the
 /// expiries).
@@ -123,14 +146,27 @@ fn zero_budget_run_equals_the_pure_heuristic() {
         let (platform, catalog, traces) = world(seed, 20);
         let sim = Simulator::new(&platform, &catalog, SimConfig::default());
         for trace in &traces {
-            let report = run_anytime(&sim, &catalog, trace, 0.0);
-            assert!(report.solver_timeouts > 0, "zero budget must expire rungs");
-            assert_eq!(report.degraded_activations, report.accepted);
-            let mut normalized = report;
-            normalized.solver_timeouts = 0;
-            normalized.degraded_activations = 0;
             let baseline = sim.run(trace, &mut HeuristicRm::new(), None);
-            assert_eq!(normalized, baseline, "seed {seed}");
+            for (name, report) in [
+                (
+                    "milp-encoded",
+                    run_anytime(&sim, &catalog, trace, MilpRm::with_wall_clock(0.0)),
+                ),
+                (
+                    "exact",
+                    run_anytime(&sim, &catalog, trace, ExactRm::with_wall_clock(0.0)),
+                ),
+            ] {
+                assert!(
+                    report.solver_timeouts > 0,
+                    "{name}: zero budget must expire rungs"
+                );
+                assert_eq!(report.degraded_activations, report.accepted, "{name}");
+                let mut normalized = report;
+                normalized.solver_timeouts = 0;
+                normalized.degraded_activations = 0;
+                assert_eq!(normalized, baseline, "{name}, seed {seed}");
+            }
         }
     }
 }
@@ -144,7 +180,12 @@ fn unbounded_budget_is_bit_identical_to_no_budget() {
         let (platform, catalog, traces) = world(seed, 10);
         let sim = Simulator::new(&platform, &catalog, SimConfig::default());
         for trace in &traces {
-            let budgeted = run_anytime(&sim, &catalog, trace, f64::INFINITY);
+            let budgeted = run_anytime(
+                &sim,
+                &catalog,
+                trace,
+                MilpRm::with_wall_clock(f64::INFINITY),
+            );
             let mut manager = MilpRm::new();
             let mut oracle = OraclePredictor::perfect(trace, catalog.len());
             let plain = sim.run(trace, &mut manager, Some(&mut oracle));
