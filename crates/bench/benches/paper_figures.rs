@@ -1,8 +1,8 @@
 //! `cargo bench` figure pass: regenerates every table and figure of the
 //! paper at smoke scale, so a single `cargo bench --workspace` run exercises
 //! and prints the full experiment suite. For publication-scale numbers use
-//! the dedicated binaries (`cargo run --release -p rtrm-bench --bin fig2`
-//! etc.) with `RTRM_TRACES`/`RTRM_TRACE_LEN` — see EXPERIMENTS.md.
+//! the named sweeps (`cargo run --release -p rtrm-bench --bin sweep --
+//! fig2` etc.) with `RTRM_TRACES`/`RTRM_TRACE_LEN` — see EXPERIMENTS.md.
 
 use rtrm_bench::{run_config, workload, Group, Oracle, Policy, Scale};
 use rtrm_core::{ExactRm, HeuristicRm, ResourceManager};

@@ -1,5 +1,5 @@
 //! Exact-backend scaling bench: `decide()` latency of the warm-started,
-//! presolved managers against the cold/unpresolved baseline on a contended
+//! presolved `ExactRm` against its cold/unpresolved baseline on a contended
 //! fixture, sweeping the platform up to 512 resources. Records
 //! `BENCH_milp.json` at the workspace root (see README, "Performance"); run
 //! in release:
@@ -27,7 +27,7 @@
 //! identical either way (`warmstart_differential.rs`); only the time
 //! differs.
 
-use rtrm_core::{Activation, ExactRm, JobView, MilpRm, ResourceManager, TimelinePool};
+use rtrm_core::{Activation, ExactRm, JobView, ResourceManager, TimelinePool};
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
 
@@ -159,31 +159,6 @@ fn main() {
         };
         let baseline_ns = measure(|| cold.decide_with_pool(&activation, &mut cold_pool));
         push_row("milp_ladder_decide", m, baseline_ns, warm_ns);
-    }
-
-    // The literal Sec 4.2 encoding (MilpRm) at the sizes its dense simplex
-    // tolerates: the same warm seed arrives through SolveOptions and the
-    // branch & bound's injected incumbent.
-    for m in [7usize, 32] {
-        let (platform, catalog) = world(m);
-        let (active, arriving, predicted) = fixture(m);
-        let activation = Activation {
-            now: Time::ZERO,
-            platform: &platform,
-            catalog: &catalog,
-            active: &active,
-            arriving,
-            predicted: &predicted,
-        };
-        let mut warm = MilpRm::new();
-        let warm_ns = measure(|| warm.decide(&activation));
-        let mut cold = MilpRm {
-            warm_start: false,
-            ..MilpRm::default()
-        };
-        cold.options.presolve = false;
-        let baseline_ns = measure(|| cold.decide(&activation));
-        push_row("milp_encoded_decide", m, baseline_ns, warm_ns);
     }
 
     let json = format!(

@@ -4,9 +4,10 @@
 //! al., DAC 2019* (see `DESIGN.md` §4 for the index), plus shared utilities
 //! for the criterion performance benches.
 //!
-//! Each experiment is a binary (`cargo run --release -p rtrm-bench --bin
-//! fig2` etc.) that prints the paper's rows/series and writes a CSV under
-//! `results/`. Scale is controlled with environment variables:
+//! Each paper table and figure is a named sweep (`cargo run --release -p
+//! rtrm-bench --bin sweep -- fig2` etc.); the ablations and extensions are
+//! binaries of their own. Each prints the paper's rows/series and writes a
+//! CSV under `results/`. Scale is controlled with environment variables:
 //!
 //! * `RTRM_TRACES` — traces per configuration (paper: 500; default: 40)
 //! * `RTRM_TRACE_LEN` — requests per trace (paper: 500; default: 200)
@@ -181,8 +182,11 @@ impl Policy {
 
     fn build(self) -> Box<dyn ResourceManager + Send> {
         match self {
-            // Anytime cut-off keeps pathological activations bounded while
-            // staying exact on essentially all of them (see EXPERIMENTS.md).
+            // Anytime cut-off keeps pathological activations bounded, but
+            // it binds on LT: in fig2's LT prediction-off cell 4 104 of
+            // 9 109 searches stop at the budget (EXPERIMENTS.md F2), so
+            // that column is anytime, not exact (ROADMAP, "Make the exact
+            // column exact on LT").
             Policy::Milp => Box::new(ExactRm::with_node_budget(25_000)),
             Policy::Heuristic => Box::new(HeuristicRm::new()),
         }

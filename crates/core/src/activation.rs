@@ -234,10 +234,11 @@ pub struct TimelinePool {
     index: Option<PlatformIndex>,
     /// Recycled per-decide candidate table for the pruned decide path.
     table: CandidateTable,
-    /// Recycled restart-free table the exact managers seed from, built as
-    /// [`HeuristicRm`](crate::HeuristicRm) builds its own so their warm
-    /// seeds and heuristic floors run the pruned heuristic on this pool.
-    /// Its counters stay out of [`prune_stats`](TimelinePool::prune_stats).
+    /// Recycled restart-free table, built as
+    /// [`HeuristicRm`](crate::HeuristicRm) builds its own so that
+    /// [`ExactRm`](crate::ExactRm)'s warm seeds and both exact managers'
+    /// heuristic floors run the pruned heuristic on this pool. Its counters
+    /// stay out of [`prune_stats`](TimelinePool::prune_stats).
     seed_table: CandidateTable,
     /// Recycled per-rung look-ahead of the exact search's blocking cut.
     pub(crate) lookahead: Lookahead,
@@ -354,12 +355,14 @@ impl TimelinePool {
         self.table = table;
     }
 
-    /// Returns the seed table taken at the start of a decide.
+    /// Returns the seed table moved out by
+    /// [`take_seed_table`](TimelinePool::take_seed_table).
     pub(crate) fn restore_seed_table(&mut self, table: CandidateTable) {
         self.seed_table = table;
     }
 
-    /// Returns the index taken at the start of a decide.
+    /// Returns the index moved out by
+    /// [`take_index`](TimelinePool::take_index).
     pub(crate) fn restore_index(&mut self, index: Option<PlatformIndex>) {
         if self.index.is_none() {
             self.index = index;

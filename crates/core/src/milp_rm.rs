@@ -49,23 +49,13 @@ use crate::view::JobView;
 #[derive(Debug, Clone)]
 pub struct MilpRm {
     /// Solver limits per activation. `options.presolve` also gates the
-    /// encoding-level dominance drop (see [`MilpRm::warm_start`] for the
-    /// incumbent seeding).
+    /// encoding-level dominance drop. Every rung's solve starts cold; the
+    /// heuristic floor runs the pruned heuristic in the decide's
+    /// [`TimelinePool`].
     pub options: SolveOptions,
     /// Offer "abort and re-queue on the same GPU" placements (see
     /// [`candidates`](crate::candidates)).
     pub gpu_restart_in_place: bool,
-    /// Seed every rung's solve with the heuristic's plan, translated into a
-    /// full assignment (placement binaries plus the derived disjunction
-    /// binaries) and threaded through
-    /// [`SolveOptions::warm_start`]. The solver validates the point and
-    /// prunes against it with the exact bound, replacing it with the first
-    /// equally good search-discovered solution — decisions stay
-    /// bit-identical to a cold solve. Enabled by default; disable for the
-    /// cold A/B baseline. The seeds (and the heuristic floor) come from the
-    /// pruned heuristic in the decide's [`TimelinePool`], as
-    /// [`ExactRm::warm_start`](crate::ExactRm::warm_start) describes.
-    pub warm_start: bool,
 }
 
 impl Default for MilpRm {
@@ -73,17 +63,8 @@ impl Default for MilpRm {
         MilpRm {
             options: SolveOptions::default(),
             gpu_restart_in_place: true,
-            warm_start: true,
         }
     }
-}
-
-/// A heuristic plan translated to the MILP's candidate space: the chosen
-/// candidate per real job, plus the first phantom's placement when the rung
-/// models one.
-struct WarmSeed {
-    real: Vec<Option<Candidate>>,
-    pred: Option<Candidate>,
 }
 
 /// Dominance presolve on the MILP's candidate rows: drops every candidate
@@ -196,7 +177,6 @@ impl MilpRm {
     /// on the activation, not the rung): previously `candidates()` was
     /// recomputed from scratch for every rung even though every rung plans
     /// the same real jobs. The reservation gates are replayed in `pool`.
-    #[allow(clippy::too_many_arguments)]
     fn solve(
         &self,
         activation: &Activation<'_>,
@@ -204,7 +184,6 @@ impl MilpRm {
         real_jobs: &[JobView],
         real_cands: &[Vec<Candidate>],
         pred_cands: &[Candidate],
-        warm: Option<&WarmSeed>,
         pool: &mut TimelinePool,
     ) -> Attempt {
         // The paper's formulation models a single predicted task; with a
@@ -230,37 +209,14 @@ impl MilpRm {
             return Attempt::default();
         }
 
-        // A warm seed must cover every real job to translate; a stale one is
-        // skipped here (and the solver validates the point again anyway).
-        let warm = warm.filter(|s| s.real.len() == real_cands.len());
-        // `warm_vals` mirrors every `model.binary()` call below with the
-        // seed's value for that variable, so the finished vector lines up
-        // with the model's variable order exactly.
-        let mut warm_vals: Option<Vec<f64>> = warm.map(|_| Vec::new());
-
         let mut model = Model::new(Sense::Minimize);
         let real_vars: Vec<Vec<VarId>> = real_cands
             .iter()
-            .enumerate()
-            .map(|(j, cs)| {
-                cs.iter()
-                    .map(|c| {
-                        if let (Some(vals), Some(seed)) = (warm_vals.as_mut(), warm) {
-                            vals.push(f64::from(seed.real[j] == Some(*c)));
-                        }
-                        model.binary(c.energy.value())
-                    })
-                    .collect()
-            })
+            .map(|cs| cs.iter().map(|c| model.binary(c.energy.value())).collect())
             .collect();
         let pred_vars: Vec<VarId> = pred_cands
             .iter()
-            .map(|c| {
-                if let (Some(vals), Some(seed)) = (warm_vals.as_mut(), warm) {
-                    vals.push(f64::from(seed.pred == Some(*c)));
-                }
-                model.binary(c.energy.value())
-            })
+            .map(|c| model.binary(c.energy.value()))
             .collect();
 
         // (1): each task takes exactly one placement.
@@ -388,18 +344,7 @@ impl MilpRm {
                     // q = time after `now` when SL1 work on i completes.
                     let q_terms: Vec<(VarId, f64)> = sl1.iter().map(|e| (e.var, e.exec)).collect();
 
-                    // The seed's disjunction values are derived from its
-                    // already-pushed placement values — exactly the
-                    // semantics the rows below encode, so a feasible seed
-                    // plan yields a feasible point.
-                    let warm_q: Option<f64> = warm_vals
-                        .as_ref()
-                        .map(|vals| sl1.iter().map(|e| e.exec * vals[e.var.index()]).sum());
-
                     // z = 1 ⇔ q ≥ Δ (τ_p waits and starts at q).
-                    if let (Some(vals), Some(q)) = (warm_vals.as_mut(), warm_q) {
-                        vals.push(f64::from(q >= delta));
-                    }
                     let z = model.binary(0.0);
                     // q ≥ Δ − M(1−z)  ⇔  −q − Mz ≤ −Δ − M·0 ... encode:
                     let mut ge_terms: Vec<(VarId, f64)> = q_terms.clone();
@@ -438,13 +383,6 @@ impl MilpRm {
 
                         // Preempt case (z = 0): either e finishes before s_p
                         // (w = 1, pf ≤ Δ) or it is delayed by cp_p (w = 0).
-                        if let (Some(vals), Some(q)) = (warm_vals.as_mut(), warm_q) {
-                            let pf_val: f64 = q + sl2[..=rank2]
-                                .iter()
-                                .map(|p2| p2.exec * vals[p2.var.index()])
-                                .sum::<f64>();
-                            vals.push(f64::from(pf_val <= delta));
-                        }
                         let w = model.binary(0.0);
                         let mut before: Vec<(VarId, f64)> = pf.clone();
                         before.push((w, big_m));
@@ -461,11 +399,7 @@ impl MilpRm {
             }
         }
 
-        let rung_options = SolveOptions {
-            warm_start: warm_vals,
-            ..self.options.clone()
-        };
-        let solution = match model.solve_with(&rung_options) {
+        let solution = match model.solve_with(&self.options) {
             Ok(solution) => solution,
             // Wall-clock expiry with no incumbent: this rung failed *because
             // of time*, which the ladder must know to engage its floor.
@@ -535,7 +469,7 @@ impl ResourceManager for MilpRm {
         activation: &Activation<'_>,
         pool: &mut TimelinePool,
     ) -> Decision {
-        // No oracle mode: seeds, floor and gates probe incrementally.
+        // No oracle mode: the floor and the gate replays probe incrementally.
         pool.set_oracle(false);
         // Candidate rows are rung-independent (the deadline filter uses the
         // activation's `t_left`, not the rung), so build them once and share
@@ -559,58 +493,26 @@ impl ResourceManager for MilpRm {
             .map(|p| self.collect(activation, p))
             .unwrap_or_default();
 
-        // Heuristic warm seeds, one per rung shape: every rung with k ≥ 1
-        // phantoms encodes only the nearest one (see `solve`), so a single
-        // 1-phantom seed covers them all and a 0-phantom seed covers the
-        // rest. Computed once per decide, not per rung, by the pruned
-        // heuristic over the pool's restart-free seed table.
-        let mut seeds = pool.take_seed_table();
-        let index = pool.take_index();
-        seeds.rebuild(activation, true, false, index.as_ref());
-        let heuristic = HeuristicRm::new();
-        let n_real = real_jobs.len();
-        let mut seed = |kp: usize| -> Option<WarmSeed> {
-            heuristic
-                .solve_with_table(activation, kp, &mut seeds, index.as_ref(), pool)
-                .map(|(_, mut chosen)| {
-                    let pred = chosen.get(n_real).copied().flatten();
-                    chosen.truncate(n_real);
-                    WarmSeed { real: chosen, pred }
-                })
-        };
-        let (warm0, warm1) = if self.warm_start {
-            let w1 = if activation.predicted.is_empty() {
-                None
-            } else {
-                seed(1)
-            };
-            (seed(0), w1)
-        } else {
-            (None, None)
-        };
-
-        let decision = decide_with_fallback_tracked(
+        decide_with_fallback_tracked(
             activation,
-            &mut (&mut *pool, &mut seeds),
-            |(pool, _), act, k| {
-                let warm = if k > 0 && !act.predicted.is_empty() {
-                    warm1.as_ref()
-                } else {
-                    warm0.as_ref()
-                };
-                self.solve(act, k, &real_jobs, &real_cands, &pred_cands, warm, pool)
-            },
+            pool,
+            |pool, act, k| self.solve(act, k, &real_jobs, &real_cands, &pred_cands, pool),
             // Heuristic floor: only consulted when every MILP rung failed and
-            // at least one of those failures was a wall-clock expiry.
-            |(pool, seeds), act| {
-                heuristic
-                    .solve_with_table(act, 0, seeds, index.as_ref(), pool)
-                    .map(|(plan, _)| plan)
+            // at least one of those failures was a wall-clock expiry. It plans
+            // as `HeuristicRm` decides, over the pool's restart-free seed
+            // table and index.
+            |pool, act| {
+                let mut seeds = pool.take_seed_table();
+                let index = pool.take_index();
+                seeds.rebuild(act, true, false, index.as_ref());
+                let plan = HeuristicRm::new()
+                    .solve_with_table(act, 0, &mut seeds, index.as_ref(), pool)
+                    .map(|(plan, _)| plan);
+                pool.restore_seed_table(seeds);
+                pool.restore_index(index);
+                plan
             },
-        );
-        pool.restore_seed_table(seeds);
-        pool.restore_index(index);
-        decision
+        )
     }
 
     fn set_wall_clock(&mut self, budget: Option<f64>) {

@@ -1,11 +1,11 @@
 //! Differential proof that warm-started exact decisions are bit-identical
 //! to cold ones.
 //!
-//! `ExactRm` and `MilpRm` default to seeding every fallback rung's search
-//! with the heuristic's plan as a starting incumbent. The injected
-//! incumbent only ever *prunes* — with the exact bound, no tolerance slack —
-//! and the first equally good search-discovered leaf replaces it, so the
-//! returned plan is always one the search itself reached. This suite pins
+//! `ExactRm` defaults to seeding every fallback rung's search with the
+//! heuristic's plan as a starting incumbent. The injected incumbent only
+//! ever *prunes* — with the exact bound, no tolerance slack — and the first
+//! equally good search-discovered leaf replaces it, so the returned plan is
+//! always one the search itself reached. This suite pins
 //! that contract: warm and cold runs must agree on the admission verdict,
 //! every assignment, the objective, prediction use, and start gates, on
 //! random platforms up to 512 mixed-DVFS resources and lookahead horizons
@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rtrm_core::{Activation, Decision, ExactRm, JobView, MilpRm, Placement, ResourceManager};
+use rtrm_core::{Activation, Decision, ExactRm, JobView, Placement, ResourceManager};
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
 use rtrm_trace::{generate_catalog, CatalogConfig};
@@ -328,32 +328,6 @@ proptest! {
             strip_nodes(warm_d),
             strip_nodes(cold_d),
             "warm-started ExactRm diverged from cold"
-        );
-    }
-
-    /// `MilpRm` warm vs cold on platforms small enough for the dense
-    /// simplex; the warm seed also exercises the z/w disjunction
-    /// translation whenever a phantom is present.
-    #[test]
-    fn milp_warm_matches_cold(s in scenario(6, 3)) {
-        let (platform, catalog, active, arriving, predicted) = build(&s);
-        let activation = Activation {
-            now: Time::new(100.0),
-            platform: &platform,
-            catalog: &catalog,
-            active: &active,
-            arriving,
-            predicted: &predicted,
-        };
-        let mut warm = MilpRm::new();
-        let mut cold = MilpRm::new();
-        cold.warm_start = false;
-        let warm_d = warm.decide(&activation);
-        let cold_d = cold.decide(&activation);
-        prop_assert_eq!(
-            strip_nodes(warm_d),
-            strip_nodes(cold_d),
-            "warm-started MilpRm diverged from cold"
         );
     }
 }

@@ -11,12 +11,8 @@ use crate::SolveOptions;
 /// [`SolveOptions::max_wall_clock_secs`]: when any of them cuts the search
 /// short, the best incumbent found so far is returned with the matching
 /// [`Termination`] label, and only a cut-off with no incumbent at all is an
-/// error. A warm-started solve whose injected incumbent was never replaced
-/// reruns cold when a node or pivot budget binds, so these anytime
-/// semantics are those of the cold solve with or without a warm start (see
-/// the rerun comment at the end of this function). The `milp::stall` fail
-/// point (keyed by the node count) forces the deadline check to fire
-/// deterministically in fault-injection tests.
+/// error. The `milp::stall` fail point (keyed by the node count) forces the
+/// deadline check to fire deterministically in fault-injection tests.
 pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, SolveError> {
     let mut lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
     let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
@@ -62,35 +58,6 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
 
     let deadline = Deadline::new(options.max_wall_clock_secs);
     let mut best: Option<(f64, Vec<f64>)> = None; // (dir·objective, values)
-
-    // Seed the incumbent from a caller-supplied warm start, if it checks out
-    // as a feasible point. `injected` marks that the incumbent came from
-    // outside the search; while it is set, the bound test below uses the
-    // exact comparison (no `objective_tolerance` slack) so a subtree holding
-    // an equally good or better optimum is never cut, and an equally good
-    // search-discovered leaf *replaces* the injected point. Both together
-    // guarantee the returned values are ones the search itself reached, so
-    // warm and cold solves of the same model agree exactly.
-    let mut injected = false;
-    if let Some(ws) = &options.warm_start {
-        if ws.len() == model.vars.len() {
-            let mut snapped = ws.clone();
-            for (j, var) in model.vars.iter().enumerate() {
-                if var.kind == VarKind::Integer {
-                    snapped[j] = snapped[j].round();
-                }
-            }
-            let tol = options.integrality_tolerance;
-            let within_root = snapped
-                .iter()
-                .zip(lower.iter().zip(&upper))
-                .all(|(&x, (&lb, &ub))| x >= lb - tol && x <= ub + tol);
-            if within_root && model.is_feasible_point(&snapped, tol) {
-                best = Some((dir * model.objective_at(&snapped), snapped));
-                injected = true;
-            }
-        }
-    }
 
     let mut nodes: u64 = 0;
     let mut stack = vec![(lower, upper)];
@@ -139,18 +106,9 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
             }
         };
 
-        // Bound: prune nodes that cannot beat the incumbent. An injected
-        // incumbent prunes with the exact bound — no tolerance slack —
-        // because its cost is a feasible value, not a proven one: shaving
-        // `objective_tolerance` off it could cut the subtree holding a
-        // strictly better optimum.
+        // Bound: prune nodes that cannot beat the incumbent.
         if let Some((best_obj, _)) = &best {
-            let prune = if injected {
-                dir * objective > *best_obj
-            } else {
-                dir * objective >= *best_obj - options.objective_tolerance
-            };
-            if prune {
+            if dir * objective >= *best_obj - options.objective_tolerance {
                 continue;
             }
         }
@@ -189,25 +147,9 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
                         snapped[j] = snapped[j].round();
                     }
                 }
-                let obj = model.objective_at(&snapped);
-                let key = dir * obj;
-                // A search-discovered leaf must strictly beat a searched
-                // incumbent, but it *replaces* an injected one of equal cost:
-                // from then on the incumbent is a point the search reached,
-                // and warm/cold runs hold identical state.
-                let replaces = match best.as_ref() {
-                    None => true,
-                    Some((b, _)) => {
-                        if injected {
-                            key <= *b
-                        } else {
-                            key < *b
-                        }
-                    }
-                };
-                if replaces {
+                let key = dir * model.objective_at(&snapped);
+                if best.as_ref().is_none_or(|(b, _)| key < *b) {
                     best = Some((key, snapped));
-                    injected = false;
                 }
             }
             Some((j, _, _)) => {
@@ -230,37 +172,6 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
                     stack.push(down);
                 }
             }
-        }
-    }
-
-    // The injected incumbent never leaves the search: it only ever prunes.
-    // Whenever it survives un-replaced — the tree was exhausted without a
-    // leaf matching it (possible only through float corners in the
-    // relaxation bound), or the node budget / a child LP's pivot budget
-    // truncated a subtree before any leaf matched — rerun cold, so the
-    // result is exactly what a cold solve returns: its best
-    // search-discovered incumbent under the matching non-`Optimal`
-    // [`Termination`], or the cold error only when even a cold solve finds
-    // nothing. The rerun keeps the caller's full budgets (shrinking them
-    // would change the cold result) and the warm run's effort is folded
-    // into the returned accounting, so the up-to-2× spend stays visible.
-    // Wall-clock expiry is the one exception — a rerun would double the
-    // deadline — so it reports `Err(TimedOut)` instead of echoing the
-    // caller's own point back, and callers already treat that as latency
-    // degradation.
-    if injected {
-        if hit_time_limit {
-            best = None;
-        } else {
-            let cold = SolveOptions {
-                warm_start: None,
-                ..options.clone()
-            };
-            return solve(model, &cold).map(|mut s| {
-                s.nodes += nodes;
-                s.iteration_limit_hits += iteration_limit_hits;
-                s
-            });
         }
     }
 

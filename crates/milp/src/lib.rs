@@ -38,7 +38,6 @@
 #![warn(missing_debug_implementations)]
 
 mod branch;
-mod lp_format;
 mod model;
 mod simplex;
 
@@ -67,19 +66,6 @@ pub struct SolveOptions {
     /// [`SolveError::TimedOut`]. This is the *anytime* knob: a runtime
     /// resource manager sets it to its per-decision latency budget.
     pub max_wall_clock_secs: f64,
-    /// Optional starting incumbent: a full assignment (one value per
-    /// variable, in variable order). If it is feasible within
-    /// [`integrality_tolerance`](SolveOptions::integrality_tolerance) it
-    /// seeds branch & bound's incumbent so subtrees that cannot beat it are
-    /// pruned from node one. While the injected incumbent is current, the
-    /// bound test uses the *exact* comparison (no
-    /// [`objective_tolerance`](SolveOptions::objective_tolerance) slack) and
-    /// a search-discovered solution of *equal* cost replaces it, so the
-    /// returned solution is always one the search itself reached — warm and
-    /// cold solves return identical values, not just identical objectives.
-    /// An infeasible warm start is silently ignored.
-    #[serde(default)]
-    pub warm_start: Option<Vec<f64>>,
     /// Fix variables forced by singleton equality rows (`a·x = b` with a
     /// single term) before the search starts, removing their columns from
     /// every simplex tableau. Defaults to `true`; disable to A/B the
@@ -111,7 +97,6 @@ impl Default for SolveOptions {
             integrality_tolerance: 1e-6,
             objective_tolerance: 1e-9,
             max_wall_clock_secs: f64::INFINITY,
-            warm_start: None,
             presolve: default_presolve(),
         }
     }

@@ -1,8 +1,8 @@
 //! Branching and presolve regression tests: both children of a branch are
 //! eventually explored when no budget binds (the push order only affects
-//! *which* is explored first), a child LP hitting its pivot budget is
-//! surfaced honestly (never `Termination::Optimal`), warm starts return
-//! exactly the cold solution, and the singleton-equality presolve preserves
+//! *which* is explored first), a child LP hitting its pivot budget or a
+//! binding node budget is surfaced honestly (never `Termination::Optimal`
+//! short of the optimum), and the singleton-equality presolve preserves
 //! solutions.
 
 use std::sync::Mutex;
@@ -101,8 +101,9 @@ fn pivot_limit_mid_search_is_never_reported_optimal() {
     assert_eq!(reference.iteration_limit_hits(), 0);
     // Abandon one child subtree mid-search: the result may be the optimum by
     // luck, but it must never be *labelled* optimal, and the hit must be
-    // visible to degradation accounting.
-    for key in [5, 10, 20] {
+    // visible to degradation accounting. Every key holds an incumbent,
+    // 11..=14 included.
+    for key in [5, 10, 11, 12, 13, 14, 20] {
         let _fp = rtrm_testkit::arm_with(
             "milp::pivot_limit",
             rtrm_testkit::Action::Trigger,
@@ -136,180 +137,41 @@ fn pivot_limit_at_the_root_fails_with_iteration_limit() {
     assert_eq!(err, SolveError::IterationLimit);
 }
 
-fn solve_warm(m: &Model, warm: Option<Vec<f64>>) -> Result<Solution, SolveError> {
-    m.solve_with(&SolveOptions {
-        warm_start: warm,
-        ..SolveOptions::default()
-    })
-}
-
 #[test]
-fn warm_started_solve_matches_cold_exactly() {
+fn node_budget_cut_is_never_reported_optimal() {
     let _serial = SERIAL.lock().unwrap();
-    for n in [8, 10, 12] {
-        let m = knapsack(n);
-        let cold = m.solve().expect("feasible");
-        // Warm-start from the cold optimum itself: the strongest possible
-        // incumbent. Values, objective and termination must be identical;
-        // only the node count may shrink.
-        let warm = solve_warm(&m, Some(cold.values().to_vec())).expect("feasible");
-        assert_eq!(warm.values(), cold.values(), "n={n}");
-        assert_eq!(warm.objective(), cold.objective(), "n={n}");
-        assert_eq!(warm.termination(), cold.termination(), "n={n}");
-        assert!(warm.nodes_explored() <= cold.nodes_explored(), "n={n}");
-
-        // A feasible but sub-optimal warm start must not perturb the result
-        // either.
-        let zero = vec![0.0; m.num_vars()];
-        let warm0 = solve_warm(&m, Some(zero)).expect("feasible");
-        assert_eq!(warm0.values(), cold.values(), "n={n}");
-        assert_eq!(warm0.termination(), cold.termination(), "n={n}");
-    }
-}
-
-#[test]
-fn warm_start_of_equal_cost_alternate_optimum_is_replaced() {
-    let _serial = SERIAL.lock().unwrap();
-    // Two symmetric optima; warm-starting from one must still return the
-    // point the *search* reaches (the cold answer), not echo the injection.
-    let mut m = Model::new(Sense::Maximize);
-    let x = m.binary(1.0);
-    let y = m.binary(1.0);
-    m.add_le(&[(x, 1.0), (y, 1.0)], 1.0);
-    let cold = m.solve().expect("feasible");
-    let other = vec![1.0 - cold.value(x), 1.0 - cold.value(y)];
-    assert!(m.is_feasible_point(&other, 1e-9));
-    let warm = solve_warm(&m, Some(other)).expect("feasible");
-    assert_eq!(warm.values(), cold.values());
-    assert_eq!(warm.termination(), Termination::Optimal);
-}
-
-/// The anytime contract under truncation: a warm start must never *lose*
-/// ground against the cold solve. Bit-identity is only guaranteed while the
-/// injected incumbent survives to the cut (the rung then reruns cold); once
-/// a leaf replaces the seed, warm may legitimately hold a *better* incumbent
-/// than cold at the same budget — what it must never do is error where cold
-/// has an incumbent, or return a worse one.
-fn assert_no_warm_regression(
-    m: &Model,
-    warm: &Result<Solution, SolveError>,
-    cold: &Result<Solution, SolveError>,
-    context: &str,
-) {
-    match (warm, cold) {
-        (Err(_), Ok(c)) => panic!(
-            "{context}: warm solve discarded the search ({warm:?}) where cold \
-             kept an incumbent of objective {}",
-            c.objective()
-        ),
-        // A warm error can only come from the cold rerun, so it must be the
-        // cold solve's own error.
-        (Err(w), Err(c)) => assert_eq!(w, c, "{context}"),
-        // Warm holding an incumbent cold never reached is allowed.
-        (Ok(w), _) => {
-            assert!(m.is_feasible_point(w.values(), 1e-6), "{context}");
-            if let Ok(c) = cold {
-                // Maximize sense: warm's incumbent is never worse.
-                assert!(
-                    w.objective() >= c.objective() - 1e-9,
-                    "{context}: warm objective {} below cold {}",
-                    w.objective(),
-                    c.objective()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn warm_start_under_node_limit_never_regresses_cold() {
-    let _serial = SERIAL.lock().unwrap();
-    // A binding node budget must not turn a cold anytime incumbent into a
-    // warm failure: an injected incumbent that survives the cut triggers a
-    // cold rerun, so for every budget the warm result is at least the cold
-    // one — `Err(NodeLimit)` only where the cold solve also finds nothing.
-    // n=14 with budgets 18..=25 is the known regression window: there the
-    // cold solve holds a `NodeLimit` incumbent while the seeded search is
-    // cut before any leaf replaces the injection.
+    // A binding node budget either leaves no incumbent (`Err(NodeLimit)`)
+    // or returns a feasible one labelled `NodeLimit`; `Optimal` appears only
+    // once the budget covers the whole search, and a larger budget never
+    // returns a worse incumbent. n=14 at 18..=25 cuts the search after its
+    // first incumbent, so every budget there must return one.
     for (n, budgets) in [(12, vec![1, 3, 8, 20, 60, 200]), (14, (18..=25).collect())] {
         let m = knapsack(n);
         let optimum = m.solve().expect("feasible");
+        let mut previous = f64::NEG_INFINITY;
         for max_nodes in budgets {
-            let limits = SolveOptions {
+            let context = format!("n={n} max_nodes={max_nodes}");
+            match m.solve_with(&SolveOptions {
                 max_nodes,
                 ..SolveOptions::default()
-            };
-            let cold = m.solve_with(&limits);
-            let warm = m.solve_with(&SolveOptions {
-                warm_start: Some(optimum.values().to_vec()),
-                ..limits
-            });
-            assert_no_warm_regression(&m, &warm, &cold, &format!("n={n} max_nodes={max_nodes}"));
-            if let Ok(w) = &warm {
-                // A truncated warm solve may prove optimality early (the seed
-                // prunes the rest of the tree), but an `Optimal` label must
-                // mean the true optimum.
-                if w.termination() == Termination::Optimal {
-                    assert!(
-                        (w.objective() - optimum.objective()).abs() < 1e-9,
-                        "n={n} max_nodes={max_nodes}: Optimal label on objective {} != {}",
-                        w.objective(),
-                        optimum.objective()
-                    );
+            }) {
+                Err(err) => {
+                    assert_eq!(err, SolveError::NodeLimit, "{context}");
+                    assert_ne!(n, 14, "{context}: no incumbent");
+                    assert_eq!(previous, f64::NEG_INFINITY, "{context}: incumbent lost");
+                }
+                Ok(sol) => {
+                    assert!(m.is_feasible_point(sol.values(), 1e-6), "{context}");
+                    match sol.termination() {
+                        Termination::Optimal => assert_eq!(sol, optimum, "{context}"),
+                        other => assert_eq!(other, Termination::NodeLimit, "{context}"),
+                    }
+                    // Maximize sense: the incumbent never gets worse.
+                    assert!(sol.objective() >= previous, "{context}: incumbent worsened");
+                    previous = sol.objective();
                 }
             }
         }
-    }
-}
-
-#[test]
-fn warm_start_under_pivot_limit_never_regresses_cold() {
-    let _serial = SERIAL.lock().unwrap();
-    // A single child LP hitting its pivot budget abandons one subtree; with
-    // the optimum injected and unmatched, the warm solve must fall back to
-    // the cold outcome instead of discarding the whole otherwise-complete
-    // solve as `Err(IterationLimit)` (the fail point is keyed by node count
-    // with unlimited firings, so the cold rerun deterministically re-hits
-    // it).
-    // Keys 11..=14 are the known regression window: the cold solve keeps an
-    // `IterationLimit` incumbent there while the injected seed survives to
-    // the cut.
-    let m = knapsack(12);
-    let optimum = m.solve().expect("feasible").values().to_vec();
-    for key in [1, 5, 10, 11, 12, 13, 14, 20] {
-        let _fp = rtrm_testkit::arm_with(
-            "milp::pivot_limit",
-            rtrm_testkit::Action::Trigger,
-            Some(key),
-            None,
-        );
-        let cold = m.solve();
-        let warm = solve_warm(&m, Some(optimum.clone()));
-        assert_no_warm_regression(&m, &warm, &cold, &format!("key={key}"));
-        if let Ok(sol) = &warm {
-            // The seed may prune the tree below `key` nodes, in which case
-            // no subtree was ever abandoned and `Optimal` is legitimate;
-            // whenever a hit is recorded, optimality must not be claimed.
-            if sol.iteration_limit_hits() > 0 {
-                assert_ne!(
-                    sol.termination(),
-                    Termination::Optimal,
-                    "key={key}: a solve with an abandoned subtree must not claim optimality"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn infeasible_or_malformed_warm_starts_are_ignored() {
-    let _serial = SERIAL.lock().unwrap();
-    let m = knapsack(10);
-    let cold = m.solve().expect("feasible");
-    // All-ones violates the capacity rows; wrong length is malformed.
-    for bad in [Some(vec![1.0; m.num_vars()]), Some(vec![0.0; 3])] {
-        let sol = solve_warm(&m, bad).expect("feasible");
-        assert_eq!(sol, cold);
     }
 }
 

@@ -41,6 +41,25 @@ fn all_three_managers_run_the_same_workload() {
             m.energy
         );
     }
+
+    // The literal MILP with a perfect phantom, so the predicted task's
+    // wait/preempt disjunctions are encoded and solved end to end.
+    let (platform, catalog, traces) = workload(12, 1, 1);
+    let sim = Simulator::new(
+        &platform,
+        &catalog,
+        SimConfig {
+            phantom_deadline: PhantomDeadline::MinWcetTimes(1.5),
+            ..SimConfig::default()
+        },
+    );
+    for trace in &traces {
+        let mut oracle = OraclePredictor::perfect(trace, catalog.len());
+        let m = sim.run(trace, &mut MilpRm::new(), Some(&mut oracle));
+        assert_eq!(m.deadline_misses, 0);
+        assert_eq!(m.accepted + m.rejected, m.requests);
+        assert!(m.used_prediction > 0, "no MILP plan honoured the phantom");
+    }
 }
 
 #[test]
