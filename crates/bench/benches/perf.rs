@@ -242,8 +242,8 @@ fn bench_edf_sweep(c: &mut Criterion) {
             let speedup = reference_ns / event_ns;
             // With-phantom columns: the timeline's incremental verdict over
             // a queue holding one future-released job (the segment sweep on
-            // CPUs, the engine fallback on GPUs) vs the memoized-engine
-            // oracle baseline over the same probes.
+            // CPUs, the single-release treap walk on GPUs) vs the
+            // memoized-engine oracle baseline over the same probes.
             let timeline_phantom_ns = measure_phantom_probe(kind, n, false);
             let oracle_phantom_ns = measure_phantom_probe(kind, n, true);
             let phantom_speedup = oracle_phantom_ns / timeline_phantom_ns;

@@ -194,8 +194,9 @@ pub trait ResourceManager {
 /// A manager threads one pool through every [`PlanBuilder::new`] of an
 /// activation — in particular through all rungs of the phantom-count
 /// fallback ladder — so timeline allocations and the timelines'
-/// engine-fallback memo entries are shared across the whole placement
-/// search instead of being rebuilt per rung.
+/// engine-fallback memo entries (kept only for non-preemptable queues with
+/// two or more future releases, and in oracle mode) are shared across the
+/// whole placement search instead of being rebuilt per rung.
 ///
 /// Pools may also outlive a single activation: a caller that simulates many
 /// traces can hold one warm pool per worker and pass it to
@@ -283,7 +284,8 @@ impl TimelinePool {
     /// Total feasibility verdicts the pool's timelines answered with the
     /// from-scratch engine (memo hits included) instead of the incremental
     /// trees. Diagnostics: tests assert that probes on preemptable resources
-    /// — phantoms included — never route through the engine.
+    /// — phantoms included — and on non-preemptable queues holding a single
+    /// future release never route through the engine.
     #[must_use]
     pub fn engine_verdicts(&self) -> u64 {
         self.timelines
@@ -373,15 +375,18 @@ impl TimelinePool {
 /// A partial plan under construction: one persistent [`EdfTimeline`] per
 /// resource. Shared by the heuristic and the exact optimizer.
 ///
-/// Feasibility probes ([`fits`](PlanBuilder::fits)) splice the candidate into
-/// the retained timeline and read the verdict incrementally in O(log n) for
-/// dense queues — the common case — instead of re-simulating the whole
-/// queue; committing ([`place`](PlanBuilder::place)) and backtracking
-/// ([`unplace_last`](PlanBuilder::unplace_last)) keep the timeline in sync at
-/// the same cost. Queues containing future-released jobs (phantoms, delayed
-/// arrivals) stay incremental on preemptable resources — the timeline answers
-/// them with a per-release-segment demand-criterion sweep — and fall back to
-/// memoized from-scratch engine runs only on non-preemptable ones, where the
+/// A placement attempt ([`try_place`](PlanBuilder::try_place)) pushes the
+/// candidate onto the retained timeline, reads the verdict incrementally in
+/// O(log n) for dense queues — the common case — instead of re-simulating
+/// the whole queue, and keeps the job if it fits (undoing the push only if
+/// it does not); backtracking ([`unplace_last`](PlanBuilder::unplace_last))
+/// keeps the timeline in sync at the same cost. Queues containing
+/// future-released jobs (phantoms, delayed arrivals) stay incremental on
+/// preemptable resources — the timeline answers them with a
+/// per-release-segment demand-criterion sweep — and a non-preemptable queue
+/// holding one future release is answered by one in-order walk of the
+/// timeline's deadline treap. Only non-preemptable queues with two or more
+/// future releases fall back to memoized from-scratch engine runs, where the
 /// scheduling anomaly genuinely needs the engine; exactness is never traded
 /// away. Committing ([`place`](PlanBuilder::place)) computes no verdict.
 #[derive(Debug)]
@@ -446,26 +451,33 @@ impl<'a> PlanBuilder<'a> {
         }
     }
 
-    /// Returns `true` if adding `job` via `candidate` keeps that resource's
-    /// queue schedulable (the heuristic's `IsSchedulable`). An incremental
-    /// probe of the retained timeline: O(log n) on dense queues.
-    #[must_use]
-    pub fn fits(&mut self, job: &JobView, candidate: &Candidate) -> bool {
+    /// Places `job` via `candidate` if that keeps the resource's queue
+    /// schedulable (the heuristic's `IsSchedulable` followed by the commit)
+    /// and returns whether it did. One timeline push, undone only when the
+    /// verdict fails: O(log n) on dense queues, one in-order treap walk on a
+    /// non-preemptable queue holding one future release.
+    #[must_use = "an unchecked placement attempt hides an admission failure"]
+    pub fn try_place(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let planned = self.planned_job(job, candidate);
-        self.prepare(candidate.resource).fits(planned)
+        let timeline = self.prepare(candidate.resource);
+        if timeline.push(planned).is_feasible() {
+            return true;
+        }
+        let _ = timeline.undo();
+        false
     }
 
-    /// Like [`fits`](PlanBuilder::fits), but on a non-preemptable resource
-    /// whose queue would hold a future-released job it answers with the
-    /// timeline's [`demand_feasible`](EdfTimeline::demand_feasible) bound and
-    /// *defers* the exact verdict. On such queues feasibility is not monotone
-    /// under job addition — a later placement can push the dispatch of an
-    /// early job past the future release and *repair* the schedule (a
+    /// Like [`try_place`](PlanBuilder::try_place), but on a non-preemptable
+    /// resource whose queue would hold a future-released job it answers with
+    /// the timeline's [`demand_feasible`](EdfTimeline::demand_feasible) bound
+    /// and *defers* the exact verdict. On such queues feasibility is not
+    /// monotone under job addition — a later placement can push the dispatch
+    /// of an early job past the future release and *repair* the schedule (a
     /// classic non-preemptive scheduling anomaly) — so an exact search must
-    /// not prune on the exact partial verdict. The demand bound is
-    /// necessary and only tightens as jobs are added, so a `false` here
-    /// cuts a subtree without a feasible leaf; the search re-validates
-    /// complete plans with [`all_schedulable`](PlanBuilder::all_schedulable).
+    /// not prune on the exact partial verdict. The demand bound is necessary
+    /// and only tightens as jobs are added, so a `false` here cuts a subtree
+    /// without a feasible leaf; the search re-validates complete plans with
+    /// [`all_schedulable`](PlanBuilder::all_schedulable).
     ///
     /// The bound cannot see non-preemptive *blocking*: a dense job that
     /// starts before the future release and runs past its latest start.
@@ -474,11 +486,11 @@ impl<'a> PlanBuilder<'a> {
     /// work with an earlier-or-equal deadline), so the exact search asks
     /// [`blocked`](PlanBuilder::blocked) after each placement with that
     /// work as headroom.
-    #[must_use]
-    pub fn fits_or_defer(&mut self, job: &JobView, candidate: &Candidate) -> bool {
+    #[must_use = "an unchecked placement attempt hides an admission failure"]
+    pub fn try_place_or_defer(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let r = candidate.resource;
         if self.activation.platform.resource(r).kind().is_preemptable() {
-            return self.fits(job, candidate);
+            return self.try_place(job, candidate);
         }
         let now = self.activation.now;
         let planned = self.planned_job(job, candidate);
@@ -486,13 +498,17 @@ impl<'a> PlanBuilder<'a> {
         // `released_by` is the same epsilon-tolerant predicate the engine and
         // the timelines classify with, and `has_future` reads the timeline's
         // retained release stack in O(1) instead of rescanning the queue.
-        if planned.release.released_by(now) && !timeline.has_future() {
-            return timeline.fits(planned);
-        }
+        let defer = !planned.release.released_by(now) || timeline.has_future();
         timeline.insert(planned);
-        let bound = timeline.demand_feasible();
-        let _ = timeline.undo();
-        bound
+        let verdict = if defer {
+            timeline.demand_feasible()
+        } else {
+            timeline.feasible()
+        };
+        if !verdict {
+            let _ = timeline.undo();
+        }
+        verdict
     }
 
     /// Returns `true` if `resource`'s queue misses a deadline however the
@@ -509,9 +525,10 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Commits `job` to `candidate`'s resource, splicing it into the
-    /// retained timeline without computing a verdict (callers are expected
-    /// to have checked [`fits`](PlanBuilder::fits) first; placing an
-    /// infeasible job is allowed and simply leaves the timeline infeasible).
+    /// retained timeline without computing a verdict — for replaying a plan
+    /// already known to be feasible, or one whose verdict the caller reads
+    /// later; placing an infeasible job is allowed and simply leaves the
+    /// timeline infeasible.
     pub fn place(&mut self, job: &JobView, candidate: &Candidate) {
         let planned = self.planned_job(job, candidate);
         self.prepare(candidate.resource).insert(planned);
@@ -701,9 +718,16 @@ mod tests {
             restart: false,
             speed: 1.0,
         };
-        assert!(!plan.fits(&arriving, &cpu), "4 units in a 3-unit window");
-        assert!(plan.fits(&arriving, &gpu));
-        plan.place(&arriving, &gpu);
+        assert!(
+            !plan.try_place(&arriving, &cpu),
+            "4 units in a 3-unit window"
+        );
+        assert_eq!(
+            plan.load(ResourceId::new(0)),
+            0,
+            "a failed attempt is undone"
+        );
+        assert!(plan.try_place(&arriving, &gpu));
         assert_eq!(plan.load(ResourceId::new(1)), 1);
         assert!(plan.all_schedulable());
         plan.unplace_last(ResourceId::new(1));

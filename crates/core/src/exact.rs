@@ -11,15 +11,16 @@
 //! Pruning: candidates are tried cheapest-energy first; a node is cut when
 //! its accumulated energy plus the sum of every unassigned task's cheapest
 //! candidate can no longer beat the incumbent. A placement is cut when its
-//! resource queue fails [`PlanBuilder::fits_or_defer`]: the exact verdict on
-//! preemptable and dense queues, and the timeline's processor-demand bound
-//! ([`rtrm_sched::EdfTimeline::demand_feasible`]) on a GPU queue holding a
-//! future release — on the paper platform, almost always the phantom. That
-//! bound is necessary for the engine's verdict and only tightens as jobs are
-//! added, so a cut subtree holds no feasible leaf. The exact engine verdict
-//! on such queues is postponed to the leaves
+//! resource queue fails [`PlanBuilder::try_place_or_defer`]: the exact
+//! verdict on preemptable and dense queues, and the timeline's
+//! processor-demand bound ([`rtrm_sched::EdfTimeline::demand_feasible`]) on
+//! a GPU queue holding a future release — on the paper platform, almost
+//! always the phantom. That bound is necessary for the engine's verdict and
+//! only tightens as jobs are added, so a cut subtree holds no feasible leaf.
+//! The exact verdict on such queues is postponed to the leaves
 //! ([`PlanBuilder::all_schedulable`]), because non-preemptive feasibility
-//! with a future release is not monotone.
+//! with a future release is not monotone; on a one-phantom rung the leaf
+//! verdict is the timeline's treap walk, not an engine run.
 //!
 //! Blocking cut: on a rung whose job set holds exactly one future release
 //! `F`, a per-depth [`Lookahead`] records, keyed by deadline, the most work
@@ -634,8 +635,7 @@ impl Search<'_, '_> {
                 break;
             }
             self.nodes += 1;
-            if self.plan.fits_or_defer(&self.jobs[j], &c) {
-                self.plan.place(&self.jobs[j], &c);
+            if self.plan.try_place_or_defer(&self.jobs[j], &c) {
                 self.chosen[j] = Some(c);
                 if !self.blocked(pos + 1) {
                     self.dfs(pos + 1, cost + c.energy);

@@ -14,7 +14,7 @@ use rtrm_platform::{Energy, PlatformIndex, ResourceId, Time};
 use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
 use crate::cost::{candidates, Candidate};
 use crate::driver::{decide_with_fallback, Plan};
-use crate::prune::CandidateTable;
+use crate::prune::{CandidateTable, RowAccess};
 use crate::view::JobView;
 
 /// The penalty weight `M` that makes deadline-infeasible placements
@@ -35,6 +35,53 @@ pub(crate) fn penalty_weight(cand: &[Vec<Candidate>]) -> f64 {
         .map(|c| c.energy.value())
         .fold(0.0, f64::max);
     2.0 * max_energy + 1.0
+}
+
+/// One capacity-feasible hit of a ranked scan: the candidate's
+/// desirability and what decides whether it still fits.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    des: f64,
+    resource: ResourceId,
+    exec: Time,
+}
+
+impl Hit {
+    /// Whether the scan would still take this candidate: the negation of
+    /// its `exec > capacity` skip test.
+    fn fits(&self, capacity: &[Time]) -> bool {
+        self.exec <= capacity[self.resource.index()]
+    }
+}
+
+/// The first two capacity-feasible candidates of job `j`'s ranked scan
+/// (the best and second-best desirability, Algorithm 1 lines 8–23), or
+/// `None` when no candidate fits.
+fn first_two_hits(
+    rows: &mut RowAccess<'_>,
+    j: usize,
+    tleft: Time,
+    index: Option<&PlatformIndex>,
+    capacity: &[Time],
+    big_m: f64,
+) -> Option<(Hit, Option<Hit>)> {
+    let mut scan = rows.ranked(j, tleft, index);
+    let mut first: Option<Hit> = None;
+    while let Some((c, penalized)) = scan.next() {
+        if c.exec > capacity[c.resource.index()] {
+            continue;
+        }
+        let hit = Hit {
+            des: c.energy.value() + if penalized { big_m } else { 0.0 },
+            resource: c.resource,
+            exec: c.exec,
+        };
+        match first {
+            None => first = Some(hit),
+            Some(first) => return Some((first, Some(hit))),
+        }
+    }
+    first.map(|first| (first, None))
 }
 
 /// The knapsack-based mapping heuristic of Algorithm 1.
@@ -122,6 +169,10 @@ impl HeuristicRm {
         let mut chosen: Vec<Option<Candidate>> = vec![None; n_jobs];
         let mut unmapped: Vec<usize> = (0..n_jobs).collect();
         let mut iterations: u64 = 0;
+        // Per job, the first two capacity-feasible hits of its last ranked
+        // scan. Capacities only shrink, so a skipped candidate stays skipped:
+        // while both hits still fit, a rescan would return exactly them.
+        let mut hits: Vec<Option<(Hit, Option<Hit>)>> = vec![None; n_jobs];
 
         while !unmapped.is_empty() {
             // Select the task with the maximum regret d* (lines 8–23):
@@ -130,26 +181,24 @@ impl HeuristicRm {
             let mut selected: Option<usize> = None;
             let mut best_regret = f64::NEG_INFINITY;
             for &j in &unmapped {
-                let tleft = jobs[j].time_left(now);
-                let mut scan = rows.ranked(j, tleft, index);
-                let mut first: Option<f64> = None;
-                let mut second: Option<f64> = None;
-                while let Some((c, penalized)) = scan.next() {
-                    if c.exec > capacity[c.resource.index()] {
-                        continue;
+                let (first, second) = match hits[j] {
+                    Some((first, second))
+                        if first.fits(&capacity) && second.is_none_or(|h| h.fits(&capacity)) =>
+                    {
+                        (first, second)
                     }
-                    let des = c.energy.value() + if penalized { big_m } else { 0.0 };
-                    if first.is_none() {
-                        first = Some(des);
-                    } else {
-                        second = Some(des);
-                        break;
+                    _ => {
+                        let tleft = jobs[j].time_left(now);
+                        let Some(pair) =
+                            first_two_hits(&mut rows, j, tleft, index, &capacity, big_m)
+                        else {
+                            return None; // line 22: F_j empty, no solution
+                        };
+                        hits[j] = Some(pair);
+                        pair
                     }
-                }
-                let Some(d0) = first else {
-                    return None; // line 22: F_j empty, no solution
                 };
-                let regret = second.map_or(f64::INFINITY, |d1| d1 - d0);
+                let regret = second.map_or(f64::INFINITY, |h| h.des - first.des);
                 if regret > best_regret {
                     best_regret = regret;
                     selected = Some(j);
@@ -171,8 +220,7 @@ impl HeuristicRm {
                     continue;
                 }
                 iterations += 1;
-                if plan.fits(&jobs[j_star], &c) {
-                    plan.place(&jobs[j_star], &c);
+                if plan.try_place(&jobs[j_star], &c) {
                     capacity[c.resource.index()] -= c.exec;
                     chosen[j_star] = Some(c);
                     placed = true;
@@ -314,8 +362,7 @@ impl HeuristicRm {
             while !options.is_empty() {
                 iterations += 1;
                 let c = options.remove(0);
-                if plan.fits(&jobs[j_star], &c) {
-                    plan.place(&jobs[j_star], &c);
+                if plan.try_place(&jobs[j_star], &c) {
                     capacity[c.resource.index()] -= c.exec;
                     chosen[j_star] = Some(c);
                     placed = true;

@@ -56,8 +56,11 @@ pub struct PruneStats {
     /// Job rows materialized through [`candidates`](crate::candidates)
     /// (placed jobs, or no index installed).
     pub owned_rows: u64,
-    /// Ranked scans that widened past the shortlist prefix because every
-    /// shortlisted placement was capacity- or deadline-infeasible.
+    /// Ranked scans performed that widened past the shortlist prefix
+    /// because every shortlisted placement was capacity- or
+    /// deadline-infeasible. It counts scans, not jobs: the heuristic
+    /// reuses a job's first two hits while they still fit instead of
+    /// rescanning, and a reused pair adds nothing here.
     pub widened: u64,
 }
 

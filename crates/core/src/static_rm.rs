@@ -130,31 +130,29 @@ impl ResourceManager for StaticRm {
                     .filter(|c| c.resource == resource)
                     .collect();
             at_resource.sort_by_key(|a| a.energy);
+            // `try_place` keeps the first placement that fits.
             let Some(c) = at_resource
                 .into_iter()
-                .find(|c| c.exec <= job.time_left(activation.now) && plan.fits(job, c))
+                .find(|c| c.exec <= job.time_left(activation.now) && plan.try_place(job, c))
             else {
                 continue;
             };
-            {
-                plan.place(job, &c);
-                assignments.push(Assignment {
-                    key: job.key,
-                    resource,
-                    restart: false,
-                    speed: c.speed,
-                });
-                return Decision {
-                    admitted: true,
-                    assignments,
-                    objective: objective + c.energy,
-                    used_prediction: false,
-                    nodes: 1,
-                    start_gates: Vec::new(),
-                    solver_timeouts: 0,
-                    degraded: false,
-                };
-            }
+            assignments.push(Assignment {
+                key: job.key,
+                resource,
+                restart: false,
+                speed: c.speed,
+            });
+            return Decision {
+                admitted: true,
+                assignments,
+                objective: objective + c.energy,
+                used_prediction: false,
+                nodes: 1,
+                start_gates: Vec::new(),
+                solver_timeouts: 0,
+                degraded: false,
+            };
         }
         Decision::reject()
     }

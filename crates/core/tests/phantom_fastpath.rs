@@ -2,7 +2,7 @@
 //!
 //! * A release within `TIME_EPSILON` of the activation instant must classify
 //!   as *dense* everywhere — the engine's ready split, the timeline's
-//!   dense/future classification, and `fits_or_defer`'s defer predicate —
+//!   dense/future classification, and `try_place_or_defer`'s defer predicate —
 //!   so the three can never disagree on a knife-edge release (the seed bug:
 //!   the defer path used a strict `release > now`, deferring a verdict the
 //!   engine considered immediately answerable, and dropping the job itself
@@ -86,10 +86,11 @@ fn epsilon_release_agrees_across_engine_timeline_and_defer_path() {
         speed: 1.0,
     };
     assert!(
-        !plan.fits_or_defer(&arriving, &candidate),
+        !plan.try_place_or_defer(&arriving, &candidate),
         "epsilon release must not defer: the engine's verdict is immediate"
     );
-    assert!(!plan.fits(&arriving, &candidate));
+    assert!(!plan.try_place(&arriving, &candidate));
+    assert_eq!(plan.load(gpu), 0, "failed attempts leave nothing placed");
 }
 
 fn phantom_activation<'a>(

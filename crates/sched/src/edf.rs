@@ -308,6 +308,23 @@ fn advance_job(live: &mut LiveState, now: &mut f64, until: f64) -> bool {
     false
 }
 
+/// Dispatches a job with `exec` units of work at `*now` and runs it with no
+/// horizon, with the non-preemptive engine's own arithmetic. Returns `false`
+/// if rounding leaves the job unfinished, which ends the engine's run with
+/// an accepting verdict.
+pub(crate) fn run_to_completion(now: &mut f64, exec: f64) -> bool {
+    let mut live = LiveState {
+        remaining: exec,
+        deadline: Time::ZERO,
+        executed: 0.0,
+        started: false,
+        finish: None,
+    };
+    // The engine's `horizon.min(now + remaining)` with an infinite horizon.
+    let until = *now + exec;
+    advance_job(&mut live, now, until)
+}
+
 fn run_preemptive(
     mut now: f64,
     horizon: f64,

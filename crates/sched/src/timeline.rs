@@ -64,15 +64,32 @@
 //! The sweep is the exact verdict on preemptable queues and on dense queues
 //! of either kind. *Non-preemptable* resources with future releases
 //! additionally suffer scheduling anomalies (delaying one dispatch can
-//! repair another), so [`EdfTimeline::feasible`] answers those queues with a
-//! from-scratch run of the event-driven engine over the retained job list,
-//! memoized by exact queue content. The sweep still bounds them from one
-//! side: a work-conserving non-preemptive schedule is also a preemptive one,
-//! so a queue the sweep rejects is one the engine rejects too, and adding
-//! jobs only lowers the gaps — a search may cut a subtree as soon as the
-//! sweep fails on a partial queue. What the sweep cannot see is blocking: a
-//! dense job that starts before a lone future release and runs past that
-//! job's latest start. [`EdfTimeline::blocked_for_good`] reports it once no
+//! repair another), so the sweep only bounds them.
+//!
+//! # One future release on a non-preemptable queue: the treap walk
+//!
+//! The queue the managers' fallback ladder probes most — a phantom on the
+//! GPU — holds exactly one future job `F`. Every other job is ready at
+//! `now`, so the engine's non-preemptive run is fixed by the deadline
+//! treap's in-order sequence: the pinned job first, then the dense jobs
+//! back to back in `(deadline, push order)`, with `F` dispatched at the
+//! first completion at or after its release ahead of the first later-keyed
+//! dense job (or at its release, if the dense jobs drain first).
+//! [`EdfTimeline::feasible`] replays exactly that as one in-order walk,
+//! advancing time with the engine's own arithmetic and `meets`/`released_by`
+//! checks, so its verdict is the engine's bit for bit at O(n) and with no
+//! engine run. Only queues with two or more future releases (multi-step
+//! lookahead, or a phantom plus an overhead-delayed arrival) and oracle
+//! mode run the event-driven engine over the retained job list, memoized by
+//! exact queue content.
+//!
+//! The sweep still bounds every non-preemptable queue from one side: a
+//! work-conserving non-preemptive schedule is also a preemptive one, so a
+//! queue the sweep rejects is one the engine rejects too, and adding jobs
+//! only lowers the gaps — a search may cut a subtree as soon as the sweep
+//! fails on a partial queue. What the sweep cannot see is blocking: a dense
+//! job that starts before a lone future release and runs past that job's
+//! latest start. [`EdfTimeline::blocked_for_good`] reports it once no
 //! extension within a caller-supplied headroom can move the blocker past
 //! the release.
 //!
@@ -86,6 +103,7 @@ use std::ops::ControlFlow;
 
 use rtrm_platform::{ResourceKind, Time, TIME_EPSILON};
 
+use crate::edf::run_to_completion;
 use crate::{is_schedulable_with, EdfScratch, PlannedJob};
 
 /// Verdict of an [`EdfTimeline::push`]: is the queue (including the job just
@@ -127,11 +145,12 @@ enum Slot {
     /// Released after `now` (beyond [`TIME_EPSILON`]): lives in the deadline
     /// treap *and* on the release stack, so verdicts can run the
     /// demand-criterion sweep per release segment (and, on non-preemptable
-    /// resources, the engine fallback).
+    /// resources, the single-release walk or the engine fallback).
     Future,
 }
 
-/// Entries allowed in the engine-fallback memo before it is reset; bounds
+/// Entries allowed in the engine-fallback memo (non-preemptable queues with
+/// two or more future releases, and oracle mode) before it is reset; bounds
 /// memory on pathological workloads while never evicting the hot set of a
 /// single placement search.
 const MEMO_CAP: usize = 4096;
@@ -347,8 +366,8 @@ impl EdfTimeline {
         } else {
             // Future release: the job still joins the deadline treap — the
             // `now + B` segment of the demand criterion spans every unpinned
-            // job — and its index is stacked for the per-segment sweep (and
-            // to trigger the engine fallback on non-preemptable resources).
+            // job, and the single-release walk reads it in key order — and
+            // its index is stacked for the per-segment sweep.
             self.tree.insert(
                 job.deadline.value(),
                 self.jobs.len() as u32,
@@ -420,15 +439,81 @@ impl EdfTimeline {
     /// Returns `true` if every job on the timeline meets its deadline —
     /// the same verdict as [`is_schedulable_with`] over
     /// [`jobs`](EdfTimeline::jobs).
+    ///
+    /// Preemptable and dense queues read the demand sweep; a
+    /// non-preemptable queue holding exactly one future release replays the
+    /// engine's run as one in-order walk of the deadline treap. Only a
+    /// non-preemptable queue with two or more future releases, and oracle
+    /// mode, run the memoized engine.
     #[must_use]
     pub fn feasible(&mut self) -> bool {
-        // The demand sweep is exact everywhere except on non-preemptable
-        // queues with a future release, where only the engine is
-        // authoritative.
-        if self.oracle || (self.has_future() && !self.kind.is_preemptable()) {
+        if self.oracle {
             return self.engine_feasible();
         }
-        self.demand_feasible()
+        if self.kind.is_preemptable() {
+            return self.demand_feasible();
+        }
+        match *self.future_stack.as_slice() {
+            [] => self.demand_feasible(),
+            [future] => self.single_release_feasible(future),
+            _ => self.engine_feasible(),
+        }
+    }
+
+    /// The engine's verdict on a non-preemptable queue holding exactly one
+    /// future-released job `F` (index `future`), without running the engine.
+    ///
+    /// Every dense job is ready at `now`, so the engine's non-preemptive run
+    /// dispatches the pinned job first and then the dense jobs back to back
+    /// in `(deadline, push order)` — the treap's in-order sequence. The one
+    /// event that changes the ready set is `F`'s release: `F` joins at the
+    /// first completion at or after its release (`released_by`), and is
+    /// dispatched there if every dense job keyed before it is done, or at its
+    /// own key in the sequence otherwise; if the dense jobs drain first, the
+    /// engine idles until the release. The walk follows exactly that order
+    /// and advances time with the engine's own arithmetic and `meets`
+    /// checks, so the verdict is the engine's bit for bit.
+    fn single_release_feasible(&self, future: u32) -> bool {
+        if self.overruns > 0 {
+            return false;
+        }
+        let f = self.jobs[future as usize];
+        let mut now = self.start.value();
+        if let Some(i) = self.pinned {
+            let pinned = &self.jobs[i];
+            if let ControlFlow::Break(verdict) = dispatch(&mut now, pinned.exec, pinned.deadline) {
+                return verdict;
+            }
+        }
+        // `F`'s key was passed while it was still unreleased.
+        let mut waiting = false;
+        let walked = self.tree.walk(self.tree.root, &mut |node| {
+            let released = f.release.released_by(Time::new(now));
+            if node.seq == future {
+                if released {
+                    return dispatch(&mut now, f.exec, f.deadline);
+                }
+                waiting = true;
+                return ControlFlow::Continue(());
+            }
+            if waiting && released {
+                waiting = false;
+                dispatch(&mut now, f.exec, f.deadline)?;
+            }
+            dispatch(&mut now, Time::new(node.exec), Time::new(node.deadline))
+        });
+        match walked {
+            ControlFlow::Break(verdict) => verdict,
+            ControlFlow::Continue(()) if waiting => {
+                // The dense jobs drained first: the engine idles until the
+                // release unless the last completion already reached it.
+                if !f.release.released_by(Time::new(now)) {
+                    now = f.release.value();
+                }
+                dispatch(&mut now, f.exec, f.deadline) != ControlFlow::Break(false)
+            }
+            ControlFlow::Continue(()) => true,
+        }
     }
 
     /// Returns `true` if any job on the timeline is released after `now`
@@ -441,7 +526,8 @@ impl EdfTimeline {
 
     /// Number of verdicts answered by the from-scratch engine (memo hits
     /// included) instead of the incremental trees, since construction.
-    /// Diagnostics: tests assert preemptable probes stay off the engine.
+    /// Diagnostics: tests assert that preemptable probes and single-release
+    /// non-preemptable probes stay off the engine.
     #[must_use]
     pub fn engine_verdicts(&self) -> u64 {
         self.engine_verdicts
@@ -601,6 +687,20 @@ impl EdfTimeline {
         self.memo.insert(self.probe.clone(), verdict);
         verdict
     }
+}
+
+/// Runs one job non-preemptively from `*now` to completion, as the engine
+/// dispatches it: `Break(false)` when it finishes past its deadline,
+/// `Break(true)` when rounding leaves it unfinished (the engine then ends
+/// its run accepting).
+fn dispatch(now: &mut f64, exec: Time, deadline: Time) -> ControlFlow<bool> {
+    if !run_to_completion(now, exec.value()) {
+        return ControlFlow::Break(true);
+    }
+    if !Time::new(*now).meets(deadline) {
+        return ControlFlow::Break(false);
+    }
+    ControlFlow::Continue(())
 }
 
 /// Arena-allocated treap over `(deadline, seq)` keys with subtree aggregates
@@ -876,9 +976,23 @@ mod tests {
         // Non-preemptable: the future job waits for the running one, so a
         // release at 3 with deadline 6 cannot fit behind 10 units of work.
         assert!(!tl.push(j(1, 3.0, 2.0, 6.0)).is_feasible());
+        assert!(!is_schedulable(ResourceKind::Gpu, T0, tl.jobs()));
+        assert_eq!(
+            tl.engine_verdicts(),
+            0,
+            "one future release is answered by the treap walk"
+        );
+        let _ = tl.undo();
+        assert!(tl.feasible());
+        // Released at 3 with deadline 13, it runs [10, 12) after the blocker;
+        // a second future job waits behind both (12 + 2 > 13.5), and two
+        // future releases are the queue that still runs the engine.
+        assert!(tl.push(j(2, 3.0, 2.0, 13.0)).is_feasible());
+        assert_eq!(tl.engine_verdicts(), 0);
+        assert!(!tl.push(j(3, 4.0, 2.0, 13.5)).is_feasible());
         assert!(
             tl.engine_verdicts() > 0,
-            "GPU future releases use the engine"
+            "GPU queues with two future releases use the engine"
         );
         let _ = tl.undo();
         assert!(tl.feasible());
@@ -961,7 +1075,11 @@ mod tests {
         } else {
             Time::ZERO
         }));
-        assert_eq!(tl.engine_verdicts(), 1, "only the feasible() call above");
+        assert_eq!(
+            tl.engine_verdicts(),
+            0,
+            "the feasible() call above walks the treap"
+        );
     }
 
     #[test]
@@ -1001,10 +1119,12 @@ mod tests {
 
     #[test]
     fn reset_keeps_memo_only_for_same_instant() {
-        // Gpu: a future release is the one case that still memoizes engine
-        // verdicts (preemptable future releases are answered incrementally).
+        // Gpu: two future releases are the one case that still memoizes
+        // engine verdicts (preemptable queues and a single future release
+        // are answered incrementally).
         let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
-        let _ = tl.push(j(0, 2.0, 1.0, 10.0)); // future: engine + memo
+        tl.insert(j(0, 2.0, 1.0, 10.0));
+        let _ = tl.push(j(1, 3.0, 1.0, 10.0)); // two future: engine + memo
         tl.reset(ResourceKind::Gpu, T0);
         assert!(tl.is_empty());
         assert_eq!(tl.memo.len(), 1, "same (kind, now): memo retained");

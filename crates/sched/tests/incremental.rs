@@ -699,6 +699,217 @@ fn blocking_cut_is_sound_on_continuous_times() {
     );
 }
 
+/// A GPU queue holding exactly one future release, each job a `(release,
+/// exec, deadline)` offset from `now`: the queue
+/// [`EdfTimeline::feasible`] answers with one in-order treap walk.
+#[derive(Debug, Clone)]
+struct WalkCase {
+    now: f64,
+    pinned: Option<Spec>,
+    /// Released within epsilon of `now`, so dense.
+    dense: Vec<Spec>,
+    future: Spec,
+    /// Push-order sort keys for the queue's jobs.
+    keys: Vec<u32>,
+}
+
+/// Whether a release `offset` after `now` classifies as future.
+fn is_future(now: f64, offset: f64) -> bool {
+    !(Time::new(now) + Time::new(offset)).released_by(Time::new(now))
+}
+
+/// The future job's release offset: at the pinned job's completion `B`
+/// (anchor 0), at the completion of the first `m` dense jobs in drawn order
+/// (anchor 1), or at a free `offset` (anchor 2), each shifted by `jitter`.
+/// A release that would land within epsilon of `now` falls back to
+/// `offset`, keeping the job future.
+fn future_release(
+    now: f64,
+    pinned: Option<Spec>,
+    dense: &[Spec],
+    (anchor, m, offset, jitter): (u8, usize, f64, f64),
+) -> f64 {
+    let b = pinned.map_or(0.0, |(_, exec, _)| exec);
+    let release = match anchor {
+        0 => b + jitter,
+        1 => b + dense.iter().take(m).map(|&(_, exec, _)| exec).sum::<f64>() + jitter,
+        _ => offset + jitter,
+    };
+    if is_future(now, release) {
+        release
+    } else {
+        offset
+    }
+}
+
+/// Lattice regime: execs on the 1/8 lattice, releases and deadlines within
+/// ±epsilon of lattice points, so the future release can sit on, just
+/// before or just after a completion instant.
+fn lattice_walk_case() -> impl Strategy<Value = WalkCase> {
+    // `EPS_OFFSETS[..5]` spans -epsilon..=epsilon: all dense.
+    let dense = || {
+        (
+            0usize..5,
+            lattice(0..32),
+            lattice(1..160),
+            0usize..DEADLINE_EPS.len(),
+        )
+            .prop_map(|(e, exec, deadline, d)| (EPS_OFFSETS[e], exec, deadline + DEADLINE_EPS[d]))
+    };
+    let pinned = (lattice(0..32), lattice(1..160), 0usize..DEADLINE_EPS.len())
+        .prop_map(|(exec, deadline, d)| (0.0, exec, deadline + DEADLINE_EPS[d]));
+    let future = (
+        (0u8..3, 0usize..7, lattice(1..40), 0usize..EPS_OFFSETS.len()),
+        lattice(0..24),
+        lattice(0..16),
+        0usize..DEADLINE_EPS.len(),
+    );
+    (
+        lattice(0..64),
+        prop::option::of(pinned),
+        prop::collection::vec(dense(), 0..7),
+        future,
+        prop::collection::vec(0u32..1000, 8),
+    )
+        .prop_map(
+            |(now, pinned, dense, ((anchor, m, offset, e), exec, slack, d), keys)| {
+                let release =
+                    future_release(now, pinned, &dense, (anchor, m, offset, EPS_OFFSETS[e]));
+                WalkCase {
+                    now,
+                    pinned,
+                    dense,
+                    future: (release, exec, release + exec + slack + DEADLINE_EPS[d]),
+                    keys,
+                }
+            },
+        )
+}
+
+/// Continuous regime: uniform floats, with the future release computed as
+/// the same float sum the engine's completion instants are made of.
+fn continuous_walk_case() -> impl Strategy<Value = WalkCase> {
+    let dense = || (0.0f64..4.0, 0.1f64..20.0).prop_map(|(exec, deadline)| (0.0, exec, deadline));
+    let future = ((0u8..3, 0usize..7, 0.01f64..5.0), 0.0f64..3.0, 0.0f64..2.0);
+    (
+        0.0f64..100.0,
+        prop::option::of(dense()),
+        prop::collection::vec(dense(), 0..7),
+        future,
+        prop::collection::vec(0u32..1000, 8),
+    )
+        .prop_map(
+            |(now, pinned, dense, ((anchor, m, offset), exec, slack), keys)| {
+                let release = future_release(now, pinned, &dense, (anchor, m, offset, 0.0));
+                WalkCase {
+                    now,
+                    pinned,
+                    dense,
+                    future: (release, exec, release + exec + slack),
+                    keys,
+                }
+            },
+        )
+}
+
+/// Checks one case: on every push-order prefix the timeline's verdict (the
+/// push's and a re-read `feasible()`) equals [`is_schedulable_with`], and no
+/// verdict runs the engine. Returns the full queue's verdict.
+fn check_walk(case: &WalkCase) -> Result<bool, TestCaseError> {
+    let now = Time::new(case.now);
+    let job = |key: usize, (release, exec, deadline): Spec| {
+        PlannedJob::new(
+            JobKey(key as u64),
+            now + Time::new(release),
+            Time::new(exec),
+            now + Time::new(deadline),
+        )
+    };
+    let mut jobs = Vec::new();
+    if let Some(spec) = case.pinned {
+        let mut pinned = job(0, spec);
+        pinned.pinned = true;
+        jobs.push(pinned);
+    }
+    for &spec in &case.dense {
+        jobs.push(job(jobs.len(), spec));
+    }
+    jobs.push(job(jobs.len(), case.future));
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| (case.keys[i], i));
+    let queue: Vec<PlannedJob> = order.into_iter().map(|i| jobs[i]).collect();
+
+    let kind = ResourceKind::Gpu;
+    let mut timeline = EdfTimeline::new(kind, now);
+    let mut scratch = EdfScratch::new();
+    let mut engine = true;
+    for k in 0..queue.len() {
+        let prefix = &queue[..=k];
+        let verdict = timeline.push(queue[k]).is_feasible();
+        engine = is_schedulable_with(kind, now, prefix, &mut scratch);
+        prop_assert_eq!(verdict, engine, "push verdict diverged on {:?}", prefix);
+        prop_assert_eq!(
+            timeline.feasible(),
+            engine,
+            "feasible() diverged on {:?}",
+            prefix
+        );
+    }
+    prop_assert!(
+        timeline.has_future(),
+        "the future job must classify as future"
+    );
+    prop_assert_eq!(
+        timeline.engine_verdicts(),
+        0,
+        "a single future release never runs the engine"
+    );
+    Ok(engine)
+}
+
+/// Runs [`check_walk`] over `cases` draws of `strategy`, requiring both
+/// verdicts on at least `min_share` of the full queues each, so the parity
+/// check covers feasible and infeasible queues alike.
+fn walk_matches_engine<S>(test: &str, strategy: &S, cases: u32, min_share: f64)
+where
+    S: Strategy<Value = WalkCase>,
+{
+    let (mut seen, mut feasible) = (0u32, 0u32);
+    proptest::test_runner::execute(&ProptestConfig::with_cases(cases), test, strategy, |case| {
+        seen += 1;
+        feasible += u32::from(check_walk(&case)?);
+        Ok(())
+    });
+    let share = f64::from(feasible) / f64::from(seen);
+    assert!(
+        share >= min_share && 1.0 - share >= min_share,
+        "{test}: {feasible} of {seen} full queues feasible"
+    );
+}
+
+/// The single-release walk is the engine's verdict bit for bit on exact
+/// dyadic times straddling every epsilon boundary, with no engine run.
+#[test]
+fn single_release_walk_matches_engine_on_the_lattice() {
+    walk_matches_engine(
+        "incremental.rs::single_release_walk_matches_engine_on_the_lattice",
+        &lattice_walk_case(),
+        4000,
+        0.1,
+    );
+}
+
+/// As above on continuous times.
+#[test]
+fn single_release_walk_matches_engine_on_continuous_times() {
+    walk_matches_engine(
+        "incremental.rs::single_release_walk_matches_engine_on_continuous_times",
+        &continuous_walk_case(),
+        4000,
+        0.1,
+    );
+}
+
 /// The fallback ladder's probe pattern from the managers' point of view: a
 /// dense working set plus `k` future-released phantoms, re-probed at rung
 /// `k`, then `k-1`, …, then `0`. On a preemptable resource every one of those

@@ -995,11 +995,11 @@ impl<'a> Simulator<'a> {
                 .iter_mut()
                 .find(|j| j.key == a.key)
                 .expect("active job is live");
-            let c = self.matching_candidate(view, a);
             if a.restart {
                 // GPU abort: progress and its energy are wasted (already
                 // charged to the total; attributed to waste here); the job
                 // starts over.
+                let c = self.matching_candidate(view, a);
                 report.wasted_energy += job.consumed_this_run;
                 job.consumed_this_run = Energy::ZERO;
                 job.resource = a.resource;
@@ -1010,6 +1010,7 @@ impl<'a> Simulator<'a> {
             } else if a.resource != job.resource {
                 // Migration: charge the energy overhead as a lump now; the
                 // time overhead is part of the busy time (`c.exec`).
+                let c = self.matching_candidate(view, a);
                 let em = self
                     .catalog
                     .task_type(job.task_type)
@@ -1022,7 +1023,13 @@ impl<'a> Simulator<'a> {
                 job.remaining_energy = c.energy - em;
                 job.speed = a.speed;
             } else {
-                debug_assert!((job.remaining_busy.value() - c.exec.value()).abs() < 1e-6);
+                // Staying put changes nothing; only debug builds materialize
+                // the candidate to check the plan agrees.
+                debug_assert!(
+                    (job.remaining_busy.value() - self.matching_candidate(view, a).exec.value())
+                        .abs()
+                        < 1e-6
+                );
             }
         }
     }

@@ -11,10 +11,10 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use rtrm_platform::{Request, RequestId, TaskCatalog, TaskTypeId, Time, Trace};
+use rtrm_platform::{Request, RequestId, TaskCatalog, Time, Trace};
 
 use crate::dist::{uniform, Gaussian};
-use crate::workload::Tightness;
+use crate::workload::{draw_type_and_rwcet, Tightness};
 
 /// Parameters of the two-phase (burst / lull) arrival process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,11 +114,7 @@ pub fn generate_bursty_trace<R: Rng + ?Sized>(
             };
             arrival += dist.sample_at_least(rng, config.interarrival_floor);
         }
-        let type_id = TaskTypeId::new(rng.gen_range(0..catalog.len()));
-        let ty = catalog.task_type(type_id);
-        let executable: Vec<_> = ty.executable_resources().collect();
-        let resource = executable[rng.gen_range(0..executable.len())];
-        let rwcet = ty.wcet(resource).expect("resource is executable");
+        let (type_id, rwcet) = draw_type_and_rwcet(catalog, rng);
         requests.push(Request {
             id: RequestId::new(index),
             arrival: Time::new(arrival),

@@ -19,11 +19,11 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use rtrm_platform::{Request, RequestId, TaskCatalog, TaskTypeId, Time, Trace};
+use rtrm_platform::{Request, RequestId, TaskCatalog, Time, Trace};
 
 use crate::bursty::{generate_bursty_trace, BurstyConfig};
 use crate::dist::{uniform, Gaussian};
-use crate::workload::Tightness;
+use crate::workload::{draw_type_and_rwcet, Tightness};
 
 /// A sinusoidal "time of day" rate profile: the interarrival mean swings
 /// around its base over one period.
@@ -255,11 +255,7 @@ fn generate_modulated<R: Rng + ?Sized>(
             let dist = Gaussian::new(base_gap.0 * f, base_gap.1 * f);
             arrival += dist.sample_at_least(rng, floor);
         }
-        let type_id = TaskTypeId::new(rng.gen_range(0..catalog.len()));
-        let ty = catalog.task_type(type_id);
-        let executable: Vec<_> = ty.executable_resources().collect();
-        let resource = executable[rng.gen_range(0..executable.len())];
-        let rwcet = ty.wcet(resource).expect("resource is executable");
+        let (type_id, rwcet) = draw_type_and_rwcet(catalog, rng);
         requests.push(Request {
             id: RequestId::new(index),
             arrival: Time::new(arrival),

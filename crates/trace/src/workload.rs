@@ -108,6 +108,24 @@ impl TraceConfig {
     }
 }
 
+/// Draws a request's task type uniformly from `catalog` and its RWCET: the
+/// type's WCET on a uniformly random executable resource. Every trace
+/// generator draws through here, so they share one RNG draw sequence.
+pub(crate) fn draw_type_and_rwcet<R: Rng + ?Sized>(
+    catalog: &TaskCatalog,
+    rng: &mut R,
+) -> (TaskTypeId, Time) {
+    let type_id = TaskTypeId::new(rng.gen_range(0..catalog.len()));
+    let task_type = catalog.task_type(type_id);
+    let pick = rng.gen_range(0..task_type.executable_resources().count());
+    let resource = task_type
+        .executable_resources()
+        .nth(pick)
+        .expect("pick is below the count");
+    let rwcet = task_type.wcet(resource).expect("resource is executable");
+    (type_id, rwcet)
+}
+
 /// Generates one request trace against `catalog`.
 ///
 /// # Panics
@@ -144,13 +162,7 @@ pub fn generate_trace<R: Rng + ?Sized>(
         if index > 0 {
             arrival += gap_dist.sample_at_least(rng, config.interarrival_floor);
         }
-        let type_id = TaskTypeId::new(rng.gen_range(0..catalog.len()));
-        let task_type = catalog.task_type(type_id);
-
-        // RWCET: the WCET on a uniformly random executable resource.
-        let executable: Vec<_> = task_type.executable_resources().collect();
-        let resource = executable[rng.gen_range(0..executable.len())];
-        let rwcet = task_type.wcet(resource).expect("resource is executable");
+        let (type_id, rwcet) = draw_type_and_rwcet(catalog, rng);
         let coefficient = uniform(rng, c_lo, c_hi);
 
         requests.push(Request {
