@@ -17,8 +17,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> full workspace tests"
-cargo test -q --workspace
+echo "==> full workspace tests (hard 600 s timeout)"
+# This step runs chaos_coop too, which spawns real child worker processes,
+# so it gets the same guard as the chaos step below. Building first keeps
+# compile time out of the bound; the run itself takes about 70 s on a
+# 2-vCPU machine.
+cargo test -q --workspace --no-run
+timeout 600 cargo test -q --workspace
 
 echo "==> differential suites: incremental EDF timeline + phantom fast path + unified event queue + warm-pool sweep"
 cargo test -q -p rtrm-sched --test incremental

@@ -231,6 +231,33 @@ fn bench_edf_sweep(c: &mut Criterion) {
         })
     }
 
+    /// Mean ns per dense probe (push + verdict + undo) of a depth-`n` dense
+    /// timeline: the probe the heuristic and the branch and bound run per
+    /// candidate. The probe's deadline walks across the queue's, so its slot
+    /// varies; the queue stays feasible, so every verdict reads the whole
+    /// queue.
+    fn measure_dense_probe(kind: rtrm_platform::ResourceKind, n: usize) -> f64 {
+        use rtrm_sched::EdfTimeline;
+        let now = Time::new(2.0);
+        let mut tl = EdfTimeline::new(kind, now);
+        for job in queue(n) {
+            let _ = tl.push(job);
+        }
+        let mut i = 0u64;
+        measure(move || {
+            i += 1;
+            let probe = PlannedJob::new(
+                JobKey(1_000_000),
+                now,
+                Time::new(0.5 + (i % 8192) as f64 * 1e-4),
+                Time::new(42.0 + 4.0 * (i % n as u64) as f64),
+            );
+            let verdict = tl.push(probe).is_feasible();
+            let _ = tl.undo();
+            verdict
+        })
+    }
+
     let mut rows = Vec::new();
     for n in DEPTHS {
         let jobs = queue(n);
@@ -240,22 +267,24 @@ fn bench_edf_sweep(c: &mut Criterion) {
                 measure(|| is_schedulable_with(kind, Time::new(0.0), &jobs, &mut scratch));
             let reference_ns = measure(|| reference::is_schedulable(kind, Time::new(0.0), &jobs));
             let speedup = reference_ns / event_ns;
-            // With-phantom columns: the timeline's incremental verdict over
-            // a queue holding one future-released job (the segment sweep on
-            // CPUs, the single-release treap walk on GPUs) vs the
+            // The timeline's dense probe, then the with-phantom columns: its
+            // verdict over a queue holding one future-released job (the
+            // segment sweep on CPUs, the single-release walk on GPUs) vs the
             // memoized-engine oracle baseline over the same probes.
+            let timeline_dense_ns = measure_dense_probe(kind, n);
             let timeline_phantom_ns = measure_phantom_probe(kind, n, false);
             let oracle_phantom_ns = measure_phantom_probe(kind, n, true);
             let phantom_speedup = oracle_phantom_ns / timeline_phantom_ns;
             println!(
                 "edf sweep: depth={n:>4} kind={label} event={event_ns:.0}ns \
                  reference={reference_ns:.0}ns speedup={speedup:.1}x \
-                 phantom={timeline_phantom_ns:.0}ns oracle_phantom={oracle_phantom_ns:.0}ns \
-                 phantom_speedup={phantom_speedup:.1}x"
+                 dense={timeline_dense_ns:.0}ns phantom={timeline_phantom_ns:.0}ns \
+                 oracle_phantom={oracle_phantom_ns:.0}ns phantom_speedup={phantom_speedup:.1}x"
             );
             rows.push(format!(
                 "    {{\"depth\": {n}, \"kind\": \"{label}\", \"event_ns\": {event_ns:.1}, \
                  \"reference_ns\": {reference_ns:.1}, \"speedup\": {speedup:.2}, \
+                 \"timeline_dense_ns\": {timeline_dense_ns:.1}, \
                  \"timeline_phantom_ns\": {timeline_phantom_ns:.1}, \
                  \"oracle_phantom_ns\": {oracle_phantom_ns:.1}, \
                  \"phantom_speedup\": {phantom_speedup:.2}}}"

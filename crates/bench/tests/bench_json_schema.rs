@@ -249,6 +249,14 @@ fn bench_edf_json_schema_is_current() {
         assert!(matches!(kind, "cpu" | "gpu"), "unknown kind {kind}");
         assert!(row.get("event_ns").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(row.get("reference_ns").and_then(Json::as_f64).unwrap() > 0.0);
+        // The dense probe every manager runs per candidate: push + verdict
+        // + undo on the standing queue.
+        assert!(
+            row.get("timeline_dense_ns")
+                .and_then(Json::as_f64)
+                .expect("row timeline_dense_ns")
+                > 0.0
+        );
         // With-phantom columns: incremental timeline probe vs the memoized
         // engine oracle over a queue holding one future-released job.
         assert!(
@@ -272,23 +280,38 @@ fn bench_edf_json_schema_is_current() {
     });
     // At the acceptance depth the timeline must clearly beat re-running the
     // engine per probe on both kinds: the segment sweep on the preemptable
-    // one, the single-release treap walk on the non-preemptable one.
+    // one, the single-release walk on the non-preemptable one. At the
+    // depth the managers' queues reach, a dense probe must cost at most
+    // half an engine run over the same queue.
     let results = doc.get("results").and_then(Json::as_array).unwrap();
-    for kind in ["cpu", "gpu"] {
-        let row_128 = results
+    let row = |kind: &str, depth: f64| {
+        results
             .iter()
             .find(|r| {
                 r.get("kind").and_then(Json::as_str) == Some(kind)
-                    && r.get("depth").and_then(Json::as_f64) == Some(128.0)
+                    && r.get("depth").and_then(Json::as_f64) == Some(depth)
             })
-            .unwrap_or_else(|| panic!("{kind} row at depth 128"));
-        let phantom_speedup = row_128
+            .unwrap_or_else(|| panic!("{kind} row at depth {depth}"))
+    };
+    for kind in ["cpu", "gpu"] {
+        let phantom_speedup = row(kind, 128.0)
             .get("phantom_speedup")
             .and_then(Json::as_f64)
             .unwrap();
         assert!(
             phantom_speedup >= 2.0,
             "{kind} phantom probe speedup at depth 128 regressed below 2x: {phantom_speedup}"
+        );
+        let row_32 = row(kind, 32.0);
+        let dense_ns = row_32
+            .get("timeline_dense_ns")
+            .and_then(Json::as_f64)
+            .unwrap();
+        let event_ns = row_32.get("event_ns").and_then(Json::as_f64).unwrap();
+        assert!(
+            dense_ns <= event_ns / 2.0,
+            "{kind} dense probe at depth 32 costs over half an engine run: \
+             {dense_ns} ns vs {event_ns} ns"
         );
     }
 }

@@ -376,19 +376,20 @@ impl TimelinePool {
 /// resource. Shared by the heuristic and the exact optimizer.
 ///
 /// A placement attempt ([`try_place`](PlanBuilder::try_place)) pushes the
-/// candidate onto the retained timeline, reads the verdict incrementally in
-/// O(log n) for dense queues — the common case — instead of re-simulating
-/// the whole queue, and keeps the job if it fits (undoing the push only if
-/// it does not); backtracking ([`unplace_last`](PlanBuilder::unplace_last))
-/// keeps the timeline in sync at the same cost. Queues containing
-/// future-released jobs (phantoms, delayed arrivals) stay incremental on
-/// preemptable resources — the timeline answers them with a
-/// per-release-segment demand-criterion sweep — and a non-preemptable queue
-/// holding one future release is answered by one in-order walk of the
-/// timeline's deadline treap. Only non-preemptable queues with two or more
-/// future releases fall back to memoized from-scratch engine runs, where the
-/// scheduling anomaly genuinely needs the engine; exactness is never traded
-/// away. Committing ([`place`](PlanBuilder::place)) computes no verdict.
+/// candidate onto the retained, deadline-sorted timeline and reads the
+/// verdict with one scan of it for dense queues — the common case — instead
+/// of re-simulating the whole queue, and keeps the job if it fits (undoing
+/// the push only if it does not); backtracking
+/// ([`unplace_last`](PlanBuilder::unplace_last)) keeps the timeline in sync
+/// with one binary search and shift. Queues containing future-released jobs
+/// (phantoms, delayed arrivals) stay incremental on preemptable resources —
+/// the timeline answers them with a per-release-segment demand-criterion
+/// sweep — and a non-preemptable queue holding one future release is
+/// answered by one in-order walk of the timeline's sorted array. Only
+/// non-preemptable queues with two or more future releases fall back to
+/// memoized from-scratch engine runs, where the scheduling anomaly genuinely
+/// needs the engine; exactness is never traded away. Committing
+/// ([`place`](PlanBuilder::place)) computes no verdict.
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     activation: &'a Activation<'a>,
@@ -454,8 +455,9 @@ impl<'a> PlanBuilder<'a> {
     /// Places `job` via `candidate` if that keeps the resource's queue
     /// schedulable (the heuristic's `IsSchedulable` followed by the commit)
     /// and returns whether it did. One timeline push, undone only when the
-    /// verdict fails: O(log n) on dense queues, one in-order treap walk on a
-    /// non-preemptable queue holding one future release.
+    /// verdict fails: one scan of the sorted queue when it is dense, one
+    /// in-order walk of it on a non-preemptable queue holding one future
+    /// release.
     #[must_use = "an unchecked placement attempt hides an admission failure"]
     pub fn try_place(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let planned = self.planned_job(job, candidate);

@@ -20,7 +20,7 @@
 //! The exact verdict on such queues is postponed to the leaves
 //! ([`PlanBuilder::all_schedulable`]), because non-preemptive feasibility
 //! with a future release is not monotone; on a one-phantom rung the leaf
-//! verdict is the timeline's treap walk, not an engine run.
+//! verdict is the timeline's in-order walk, not an engine run.
 //!
 //! Blocking cut: on a rung whose job set holds exactly one future release
 //! `F`, a per-depth [`Lookahead`] records, keyed by deadline, the most work

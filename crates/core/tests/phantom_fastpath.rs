@@ -67,10 +67,10 @@ fn epsilon_release_agrees_across_engine_timeline_and_defer_path() {
 
     // Timeline: same classification (dense, no future stack), same verdict.
     let mut tl = EdfTimeline::new(ResourceKind::Gpu, now);
-    assert!(!tl.fits(planned));
-    let _ = tl.push(planned);
+    assert!(!tl.push(planned).is_feasible());
     assert!(!tl.has_future(), "epsilon release classifies as dense");
     let _ = tl.undo();
+    assert!(tl.is_empty());
 
     // Defer path: with the strict `release > now` predicate this placement
     // deferred (returned true on an empty sub-queue); the epsilon-unified

@@ -4,11 +4,11 @@
 //! attempts, the exact solver's branch-and-bound, the fallback ladder over
 //! phantom counts) probe feasibility thousands of times per activation, and
 //! consecutive probes differ by a single job. Re-simulating the whole queue —
-//! even with the event-driven engine — makes each probe O(n log n).
-//! [`EdfTimeline`] instead *retains* the timeline between probes:
-//! [`EdfTimeline::push`] splices one job in and re-derives the feasibility
-//! verdict in O(log n), and [`EdfTimeline::undo`] removes it again in
-//! O(log n), so a whole placement search costs about one engine run.
+//! even with the event-driven engine — costs an O(n log n) run with heap
+//! traffic per probe. [`EdfTimeline`] instead *retains* the queue between
+//! probes, already sorted: [`EdfTimeline::push`] splices one job in and
+//! re-derives the verdict with one linear scan, and [`EdfTimeline::undo`]
+//! removes it again.
 //!
 //! # How the incremental verdict works
 //!
@@ -24,11 +24,17 @@
 //! min over u of (deadline_u - E_u)  >=  now + B - TIME_EPSILON
 //! ```
 //!
-//! The timeline maintains the jobs in a balanced order-statistic tree (a
-//! treap keyed by `(deadline, push order)`) whose nodes aggregate the subtree
-//! execution-time sum and the subtree minimum of `deadline_u - E_u`; both
-//! maintain under rotation in O(1), so push/undo are O(log n) and the
-//! feasibility verdict is read off the root.
+//! The timeline keeps the jobs in one array sorted by `(deadline, push
+//! order)`. A push finds its slot by binary search and shifts the tail; an
+//! undo finds and removes it the same way; the verdict is one left-to-right
+//! scan accumulating `E_u`, stopping at the first gap below the bound. Each
+//! of the three is O(n) with small constants. The queues the managers probe
+//! are shallow (tens of jobs per resource), where a contiguous scan beats a
+//! balanced tree's O(log n) pointer chasing; a balanced tree wins back only
+//! on queues of several hundred jobs on one resource (the measured
+//! crossover lies between 128 and 512). The scan also makes every verdict
+//! a function of the queue's content alone: `E_u` is always summed in key
+//! order, whatever the push history.
 //!
 //! # Future releases and the pinned prefix: the demand sweep
 //!
@@ -52,36 +58,36 @@
 //!
 //! where `E_u^(s)` sums execution over jobs released at-or-after `s`, taken
 //! in `(deadline, push order)`. The `now + B` segment covers *all* unpinned
-//! jobs (future releases included), so it is read off the main treap root
-//! in O(1). Later segments contain only future jobs;
+//! jobs (future releases included), so it is the scan of the main array.
+//! Later segments contain only future jobs;
 //! [`EdfTimeline::demand_feasible`] answers them by sweeping the
 //! release-ordered future set from the latest release down, splicing each
-//! segment's jobs into a second, scratch tree keyed by
-//! `(deadline, push order)` and reading its root min-gap per segment. With
-//! `k` future jobs a verdict costs O(log n + k log k) — O(log n) for the
-//! single-phantom queue that dominates the managers' fallback ladder.
+//! segment's jobs into a second, scratch array sorted the same way and
+//! scanning it per segment. With `k` future jobs a verdict costs
+//! O(n + k²) — O(n) for the single-phantom queue that dominates the
+//! managers' fallback ladder.
 //!
 //! The sweep is the exact verdict on preemptable queues and on dense queues
 //! of either kind. *Non-preemptable* resources with future releases
 //! additionally suffer scheduling anomalies (delaying one dispatch can
 //! repair another), so the sweep only bounds them.
 //!
-//! # One future release on a non-preemptable queue: the treap walk
+//! # One future release on a non-preemptable queue: the in-order walk
 //!
 //! The queue the managers' fallback ladder probes most — a phantom on the
 //! GPU — holds exactly one future job `F`. Every other job is ready at
-//! `now`, so the engine's non-preemptive run is fixed by the deadline
-//! treap's in-order sequence: the pinned job first, then the dense jobs
-//! back to back in `(deadline, push order)`, with `F` dispatched at the
-//! first completion at or after its release ahead of the first later-keyed
-//! dense job (or at its release, if the dense jobs drain first).
-//! [`EdfTimeline::feasible`] replays exactly that as one in-order walk,
-//! advancing time with the engine's own arithmetic and `meets`/`released_by`
-//! checks, so its verdict is the engine's bit for bit at O(n) and with no
-//! engine run. Only queues with two or more future releases (multi-step
-//! lookahead, or a phantom plus an overhead-delayed arrival) and oracle
-//! mode run the event-driven engine over the retained job list, memoized by
-//! exact queue content.
+//! `now`, so the engine's non-preemptive run is fixed by the sorted array's
+//! order: the pinned job first, then the dense jobs back to back in
+//! `(deadline, push order)`, with `F` dispatched at the first completion at
+//! or after its release ahead of the first later-keyed dense job (or at its
+//! release, if the dense jobs drain first). [`EdfTimeline::feasible`]
+//! replays exactly that as one in-order walk of the array, advancing time
+//! with the engine's own arithmetic and `meets`/`released_by` checks, so its
+//! verdict is the engine's bit for bit at O(n) and with no engine run. Only
+//! queues with two or more future releases (multi-step lookahead, or a
+//! phantom plus an overhead-delayed arrival) and oracle mode run the
+//! event-driven engine over the retained job list, memoized by exact queue
+//! content.
 //!
 //! The sweep still bounds every non-preemptable queue from one side: a
 //! work-conserving non-preemptive schedule is also a preemptive one, so a
@@ -96,7 +102,9 @@
 //! The differential property suite in `tests/incremental.rs` asserts that
 //! every push/undo sequence agrees — bit for bit on the verdict — with a
 //! from-scratch [`is_schedulable_with`] over the same jobs and with the
-//! scan-based [`crate::reference`] oracle.
+//! scan-based [`crate::reference`] oracle; the workspace's
+//! `tests/deep_timeline.rs` does the same to depth 512, with deadline ties
+//! at every position.
 
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -138,14 +146,15 @@ impl From<bool> for Feasibility {
 /// Where a pushed job went, so [`EdfTimeline::undo`] can unwind it.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// Dense job: lives in the deadline treap.
-    Tree,
-    /// The pinned job (held outside the tree; it dispatches first).
+    /// Dense job: lives in the deadline-sorted array.
+    Dense,
+    /// The pinned job (held outside the array; it dispatches first).
     Pinned,
-    /// Released after `now` (beyond [`TIME_EPSILON`]): lives in the deadline
-    /// treap *and* on the release stack, so verdicts can run the
-    /// demand-criterion sweep per release segment (and, on non-preemptable
-    /// resources, the single-release walk or the engine fallback).
+    /// Released after `now` (beyond [`TIME_EPSILON`]): lives in the
+    /// deadline-sorted array *and* on the release stack, so verdicts can run
+    /// the demand-criterion sweep per release segment (and, on
+    /// non-preemptable resources, the single-release walk or the engine
+    /// fallback).
     Future,
 }
 
@@ -155,8 +164,9 @@ enum Slot {
 /// single placement search.
 const MEMO_CAP: usize = 4096;
 
-/// A persistent single-resource EDF timeline with O(log n) incremental
-/// admission.
+/// A persistent single-resource EDF timeline with incremental admission:
+/// one push, verdict and undo cost a binary search, a shift and a scan over
+/// the retained queue.
 ///
 /// Push jobs with [`push`](EdfTimeline::push), retract the most recent one
 /// with [`undo`](EdfTimeline::undo) (strict stack discipline), and read the
@@ -189,7 +199,7 @@ pub struct EdfTimeline {
     kind: ResourceKind,
     start: Time,
     /// When set, every verdict uses the memoized from-scratch engine instead
-    /// of the incremental tree — the pre-incremental baseline, kept callable
+    /// of the sorted array — the pre-incremental baseline, kept callable
     /// for benchmarks and differential tests.
     oracle: bool,
     /// All pushed jobs, in push order (= the engine's input order, which
@@ -197,7 +207,8 @@ pub struct EdfTimeline {
     jobs: Vec<PlannedJob>,
     /// Per-job placement bookkeeping, parallel to `jobs`.
     slots: Vec<Slot>,
-    tree: Treap,
+    /// Every unpinned job, sorted by `(deadline, push order)`.
+    by_deadline: DeadlineOrder,
     /// Index into `jobs` of the pinned job, if one was pushed.
     pinned: Option<usize>,
     /// Indices (into `jobs`) of future-released jobs, in push order. Undo is
@@ -206,15 +217,15 @@ pub struct EdfTimeline {
     /// Scratch: `future_stack` sorted by descending release for the
     /// per-segment sweep of [`EdfTimeline::demand_feasible`].
     seg_order: Vec<u32>,
-    /// Scratch tree keyed by `(deadline, push order)` rebuilt over the
+    /// Scratch array sorted by `(deadline, push order)`, rebuilt over the
     /// future jobs during the per-segment sweep.
-    seg_tree: Treap,
+    seg_by_deadline: DeadlineOrder,
     /// Jobs that miss their deadline even running alone from their release:
     /// the engine's per-job necessary condition, kept as a count so push and
     /// undo maintain it in O(1).
     overruns: u32,
     /// Verdicts answered by the from-scratch engine (memoized or not)
-    /// instead of the incremental trees, since construction. Cumulative
+    /// instead of the sorted arrays, since construction. Cumulative
     /// across [`reset`](EdfTimeline::reset); diagnostics only.
     engine_verdicts: u64,
     scratch: EdfScratch,
@@ -233,11 +244,11 @@ impl EdfTimeline {
             oracle: false,
             jobs: Vec::new(),
             slots: Vec::new(),
-            tree: Treap::default(),
+            by_deadline: DeadlineOrder::default(),
             pinned: None,
             future_stack: Vec::new(),
             seg_order: Vec::new(),
-            seg_tree: Treap::default(),
+            seg_by_deadline: DeadlineOrder::default(),
             overruns: 0,
             engine_verdicts: 0,
             scratch: EdfScratch::new(),
@@ -260,7 +271,7 @@ impl EdfTimeline {
         self.start = now;
         self.jobs.clear();
         self.slots.clear();
-        self.tree.clear();
+        self.by_deadline.rows.clear();
         self.pinned = None;
         self.future_stack.clear();
         self.overruns = 0;
@@ -304,12 +315,13 @@ impl EdfTimeline {
     }
 
     /// Splices `job` into the timeline and returns whether the whole queue
-    /// (including `job`) is schedulable. O(log n) for dense queues.
+    /// (including `job`) is schedulable. O(n) for dense queues: a binary
+    /// search, a shift and one scan.
     ///
     /// The verdict is [`#[must_use]`](Feasibility): an uninspected push is an
     /// admission decision nobody checked. An infeasible push still retains
     /// the job — retract it with [`undo`](EdfTimeline::undo) if the caller
-    /// was only probing (or use [`fits`](EdfTimeline::fits)).
+    /// was only probing.
     ///
     /// # Panics
     ///
@@ -333,7 +345,7 @@ impl EdfTimeline {
 
     /// Splices `job` into the timeline without computing a verdict — the
     /// commit half of [`push`](EdfTimeline::push), for callers that have
-    /// already probed the placement. O(log n).
+    /// already probed the placement. O(n): a binary search and a shift.
     ///
     /// # Panics
     ///
@@ -343,6 +355,7 @@ impl EdfTimeline {
             job.exec >= Time::ZERO && job.exec.is_finite(),
             "job exec must be finite and non-negative"
         );
+        let seq = self.jobs.len() as u32;
         let slot = if job.pinned {
             assert!(
                 self.kind == ResourceKind::Gpu,
@@ -354,27 +367,20 @@ impl EdfTimeline {
             );
             self.pinned = Some(self.jobs.len());
             Slot::Pinned
-        } else if job.release.released_by(self.start) {
-            // `(deadline, push order)` keys make ties deterministic and
-            // identical to the engine's input-order tie-break.
-            self.tree.insert(
-                job.deadline.value(),
-                self.jobs.len() as u32,
-                job.exec.value(),
-            );
-            Slot::Tree
         } else {
-            // Future release: the job still joins the deadline treap — the
-            // `now + B` segment of the demand criterion spans every unpinned
-            // job, and the single-release walk reads it in key order — and
-            // its index is stacked for the per-segment sweep.
-            self.tree.insert(
-                job.deadline.value(),
-                self.jobs.len() as u32,
-                job.exec.value(),
-            );
-            self.future_stack.push(self.jobs.len() as u32);
-            Slot::Future
+            // `(deadline, push order)` keys make ties deterministic and
+            // identical to the engine's input-order tie-break. A future
+            // release joins the array too — the `now + B` segment of the
+            // demand criterion spans every unpinned job, and the
+            // single-release walk reads it in key order — and its index is
+            // stacked for the per-segment sweep.
+            self.by_deadline.insert(Row::new(&job, seq));
+            if job.release.released_by(self.start) {
+                Slot::Dense
+            } else {
+                self.future_stack.push(seq);
+                Slot::Future
+            }
         };
         self.overruns += u32::from(self.overruns_alone(&job));
         self.jobs.push(job);
@@ -419,12 +425,12 @@ impl EdfTimeline {
         let job = self.jobs.pop().expect("undo on an empty timeline");
         self.overruns -= u32::from(self.overruns_alone(&job));
         match self.slots.pop().expect("slots parallel jobs") {
-            Slot::Tree => self
-                .tree
+            Slot::Dense => self
+                .by_deadline
                 .remove(job.deadline.value(), self.jobs.len() as u32),
             Slot::Pinned => self.pinned = None,
             Slot::Future => {
-                self.tree
+                self.by_deadline
                     .remove(job.deadline.value(), self.jobs.len() as u32);
                 let idx = self
                     .future_stack
@@ -442,7 +448,7 @@ impl EdfTimeline {
     ///
     /// Preemptable and dense queues read the demand sweep; a
     /// non-preemptable queue holding exactly one future release replays the
-    /// engine's run as one in-order walk of the deadline treap. Only a
+    /// engine's run as one in-order walk of the sorted array. Only a
     /// non-preemptable queue with two or more future releases, and oracle
     /// mode, run the memoized engine.
     #[must_use]
@@ -465,7 +471,7 @@ impl EdfTimeline {
     ///
     /// Every dense job is ready at `now`, so the engine's non-preemptive run
     /// dispatches the pinned job first and then the dense jobs back to back
-    /// in `(deadline, push order)` — the treap's in-order sequence. The one
+    /// in `(deadline, push order)` — the sorted array's order. The one
     /// event that changes the ready set is `F`'s release: `F` joins at the
     /// first completion at or after its release (`released_by`), and is
     /// dispatched there if every dense job keyed before it is done, or at its
@@ -487,9 +493,9 @@ impl EdfTimeline {
         }
         // `F`'s key was passed while it was still unreleased.
         let mut waiting = false;
-        let walked = self.tree.walk(self.tree.root, &mut |node| {
+        let walked = self.by_deadline.rows.iter().try_for_each(|row| {
             let released = f.release.released_by(Time::new(now));
-            if node.seq == future {
+            if row.seq == future {
                 if released {
                     return dispatch(&mut now, f.exec, f.deadline);
                 }
@@ -500,7 +506,7 @@ impl EdfTimeline {
                 waiting = false;
                 dispatch(&mut now, f.exec, f.deadline)?;
             }
-            dispatch(&mut now, Time::new(node.exec), Time::new(node.deadline))
+            dispatch(&mut now, Time::new(row.exec), Time::new(row.deadline))
         });
         match walked {
             ControlFlow::Break(verdict) => verdict,
@@ -525,7 +531,7 @@ impl EdfTimeline {
     }
 
     /// Number of verdicts answered by the from-scratch engine (memo hits
-    /// included) instead of the incremental trees, since construction.
+    /// included) instead of the sorted arrays, since construction.
     /// Diagnostics: tests assert that preemptable probes and single-release
     /// non-preemptable probes stay off the engine.
     #[must_use]
@@ -533,10 +539,11 @@ impl EdfTimeline {
         self.engine_verdicts
     }
 
-    /// Processor-demand verdict read off the trees (see the module docs),
-    /// with the pinned job as a blocking prefix of length `B`: every job must
-    /// fit between its own release and deadline, and every release segment,
-    /// starting at `now + B` or at a future release after it, must fit.
+    /// Processor-demand verdict scanned off the sorted arrays (see the module
+    /// docs), with the pinned job as a blocking prefix of length `B`: every
+    /// job must fit between its own release and deadline, and every release
+    /// segment, starting at `now + B` or at a future release after it, must
+    /// fit.
     ///
     /// On preemptable queues, and on dense queues of either kind, this *is*
     /// the verdict of [`is_schedulable_with`]. On a non-preemptable queue
@@ -544,7 +551,7 @@ impl EdfTimeline {
     /// work-conserving non-preemptive schedule is also a preemptive one, so
     /// whenever the engine accepts a queue this holds on it and on every
     /// subset of its jobs. Adding a job only shrinks the gaps, so once this
-    /// fails no later push makes it hold again. It reads the trees in oracle
+    /// fails no later push makes it hold again. It scans the arrays in oracle
     /// mode too, and never runs the engine.
     #[must_use]
     pub fn demand_feasible(&mut self) -> bool {
@@ -556,7 +563,7 @@ impl EdfTimeline {
             None => self.start,
         }
         .value();
-        if self.tree.root_min_gap() < base - TIME_EPSILON {
+        if !self.by_deadline.gaps_hold(base - TIME_EPSILON) {
             return false;
         }
         // A non-preemptive dispatch at a completion instant (the pinned
@@ -570,28 +577,28 @@ impl EdfTimeline {
             TIME_EPSILON
         };
         // Destructure for disjoint borrows: the sort comparator reads `jobs`
-        // while the sweep mutates `seg_tree`.
+        // while the sweep mutates `seg_by_deadline`.
         let EdfTimeline {
             jobs,
             future_stack,
             seg_order,
-            seg_tree,
+            seg_by_deadline,
             ..
         } = self;
         seg_order.clear();
         seg_order.extend_from_slice(future_stack);
         seg_order
             .sort_unstable_by(|&a, &b| jobs[b as usize].release.cmp(&jobs[a as usize].release));
-        seg_tree.clear();
+        seg_by_deadline.rows.clear();
         for &idx in seg_order.iter() {
             let job = &jobs[idx as usize];
-            seg_tree.insert(job.deadline.value(), idx, job.exec.value());
+            seg_by_deadline.insert(Row::new(job, idx));
             // Checking after every insertion (not once per distinct release)
             // is equivalent: a partial release group only reports larger gaps
             // than the full group, whose own check still runs. A segment
-            // starting at or before `now + B` is implied by the root check,
+            // starting at or before `now + B` is implied by the main scan,
             // which spans a superset of its jobs.
-            if seg_tree.root_min_gap() < job.release.value() - early - TIME_EPSILON {
+            if !seg_by_deadline.gaps_hold(job.release.value() - early - TIME_EPSILON) {
                 return false;
             }
         }
@@ -618,7 +625,7 @@ impl EdfTimeline {
     /// (`released_by`, `meets`), so on exact dyadic times the verdict sits
     /// on the engine's side of every ε boundary.
     ///
-    /// Reads only the deadline treap: no engine run, and the same answer in
+    /// Reads only the sorted array: no engine run, and the same answer in
     /// oracle mode. `false` on preemptable queues and on queues with zero
     /// or several future releases.
     #[must_use]
@@ -635,35 +642,22 @@ impl EdfTimeline {
             None => self.start,
         }
         .value();
-        let blocked = self.tree.walk(self.tree.root, &mut |node| {
-            if node.seq == future {
+        let blocked = self.by_deadline.rows.iter().try_for_each(|row| {
+            if row.seq == future {
                 return ControlFlow::Continue(());
             }
-            let deadline = Time::new(node.deadline);
+            let deadline = Time::new(row.deadline);
             let latest = Time::new(start) + headroom(deadline);
             if f.release.released_by(latest) {
                 return ControlFlow::Break(false);
             }
-            if !Time::new(start + node.exec + f.exec.value()).meets(f.deadline) {
+            if !Time::new(start + row.exec + f.exec.value()).meets(f.deadline) {
                 return ControlFlow::Break(true);
             }
-            start += node.exec;
+            start += row.exec;
             ControlFlow::Continue(())
         });
         matches!(blocked, ControlFlow::Break(true))
-    }
-
-    /// Probes `job` without retaining it: `push` + `undo`, returning the
-    /// verdict. The caller's timeline is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// As [`push`](EdfTimeline::push).
-    #[must_use]
-    pub fn fits(&mut self, job: PlannedJob) -> bool {
-        let verdict = self.push(job).is_feasible();
-        let _ = self.undo();
-        verdict
     }
 
     /// From-scratch engine verdict over the retained queue, memoized by
@@ -703,199 +697,67 @@ fn dispatch(now: &mut f64, exec: Time, deadline: Time) -> ControlFlow<bool> {
     ControlFlow::Continue(())
 }
 
-/// Arena-allocated treap over `(deadline, seq)` keys with subtree aggregates
-/// `sum` (total exec) and `min_gap` (minimum of `deadline_u - E_u` over the
-/// subtree, `E_u` the in-order exec prefix sum *within the subtree*).
-///
-/// `min_gap` composes under concatenation: for a node `v` with left subtree
-/// `L` and right subtree `R`, the prefix of `v` is `sum(L) + exec_v` and
-/// every gap in `R` shifts down by that amount, so
-/// `min_gap(v) = min(min_gap(L), deadline_v - prefix_v, min_gap(R) - prefix_v)`.
-#[derive(Debug, Clone)]
-struct Treap {
-    nodes: Vec<Node>,
-    free: Vec<u32>,
-    root: u32,
-    rng: u64,
+/// Jobs as `(deadline, seq, exec)` rows kept sorted by `(deadline, seq)` —
+/// the order EDF runs a dense queue in. `seq` is the push order (an index
+/// into [`EdfTimeline::jobs`]), so ties break exactly as the engine's input
+/// order does.
+#[derive(Debug, Clone, Default)]
+struct DeadlineOrder {
+    rows: Vec<Row>,
 }
-
-const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
-struct Node {
+struct Row {
     deadline: f64,
     seq: u32,
-    prio: u64,
     exec: f64,
-    left: u32,
-    right: u32,
-    sum: f64,
-    min_gap: f64,
 }
 
-impl Default for Treap {
-    fn default() -> Self {
-        Treap {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            // Any non-zero seed works; priorities only need to be
-            // uncorrelated with insertion order. Deterministic so runs are
-            // reproducible.
-            rng: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-}
-
-/// Lexicographic `(deadline, seq)` order; deadlines by `total_cmp` so the
-/// tree key order matches the engine's heap order bit for bit.
-fn key_less(ad: f64, aseq: u32, bd: f64, bseq: u32) -> bool {
-    match ad.total_cmp(&bd) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => aseq < bseq,
-    }
-}
-
-impl Treap {
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
-    }
-
-    fn next_prio(&mut self) -> u64 {
-        // xorshift64: cheap, deterministic, no external RNG dependency.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    fn sum(&self, v: u32) -> f64 {
-        if v == NIL {
-            0.0
-        } else {
-            self.nodes[v as usize].sum
-        }
-    }
-
-    fn min_gap(&self, v: u32) -> f64 {
-        if v == NIL {
-            f64::INFINITY
-        } else {
-            self.nodes[v as usize].min_gap
-        }
-    }
-
-    /// The queue-wide minimum of `deadline_u - E_u`, `+inf` when empty.
-    fn root_min_gap(&self) -> f64 {
-        self.min_gap(self.root)
-    }
-
-    /// Recomputes `v`'s aggregates from its children.
-    fn pull(&mut self, v: u32) {
-        let n = self.nodes[v as usize];
-        let prefix = self.sum(n.left) + n.exec;
-        let min_gap = self
-            .min_gap(n.left)
-            .min(n.deadline - prefix)
-            .min(self.min_gap(n.right) - prefix);
-        let sum = prefix + self.sum(n.right);
-        let n = &mut self.nodes[v as usize];
-        n.sum = sum;
-        n.min_gap = min_gap;
-    }
-
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio > self.nodes[b as usize].prio {
-            let merged = self.merge(self.nodes[a as usize].right, b);
-            self.nodes[a as usize].right = merged;
-            self.pull(a);
-            a
-        } else {
-            let merged = self.merge(a, self.nodes[b as usize].left);
-            self.nodes[b as usize].left = merged;
-            self.pull(b);
-            b
-        }
-    }
-
-    /// Splits by key into (`< (d, seq)`, `>= (d, seq)`).
-    fn split(&mut self, v: u32, d: f64, seq: u32) -> (u32, u32) {
-        if v == NIL {
-            return (NIL, NIL);
-        }
-        let n = self.nodes[v as usize];
-        if key_less(n.deadline, n.seq, d, seq) {
-            let (a, b) = self.split(n.right, d, seq);
-            self.nodes[v as usize].right = a;
-            self.pull(v);
-            (v, b)
-        } else {
-            let (a, b) = self.split(n.left, d, seq);
-            self.nodes[v as usize].left = b;
-            self.pull(v);
-            (a, v)
-        }
-    }
-
-    fn insert(&mut self, deadline: f64, seq: u32, exec: f64) {
-        let node = Node {
-            deadline,
+impl Row {
+    fn new(job: &PlannedJob, seq: u32) -> Self {
+        Row {
+            deadline: job.deadline.value(),
             seq,
-            prio: self.next_prio(),
-            exec,
-            left: NIL,
-            right: NIL,
-            sum: exec,
-            min_gap: deadline - exec,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        let (a, b) = self.split(self.root, deadline, seq);
-        let left = self.merge(a, idx);
-        self.root = self.merge(left, b);
+            exec: job.exec.value(),
+        }
+    }
+}
+
+impl DeadlineOrder {
+    /// Index of the first row not keyed before `(deadline, seq)`. Deadlines
+    /// compare by `total_cmp`, so the row order matches the engine's heap
+    /// order bit for bit.
+    fn position(&self, deadline: f64, seq: u32) -> usize {
+        self.rows.partition_point(|row| {
+            row.deadline
+                .total_cmp(&deadline)
+                .then(row.seq.cmp(&seq))
+                .is_lt()
+        })
     }
 
-    /// Visits the subtree at `v` in key order until `visit` breaks.
-    fn walk<B>(&self, v: u32, visit: &mut impl FnMut(&Node) -> ControlFlow<B>) -> ControlFlow<B> {
-        if v == NIL {
-            return ControlFlow::Continue(());
-        }
-        let node = &self.nodes[v as usize];
-        self.walk(node.left, visit)?;
-        visit(node)?;
-        self.walk(node.right, visit)
+    fn insert(&mut self, row: Row) {
+        let at = self.position(row.deadline, row.seq);
+        self.rows.insert(at, row);
     }
 
     fn remove(&mut self, deadline: f64, seq: u32) {
-        let (a, rest) = self.split(self.root, deadline, seq);
-        // `seq` is unique, so the exact-key slice is the single target node.
-        let (target, c) = self.split(rest, deadline, seq + 1);
-        debug_assert!(target != NIL, "removing a job that was never inserted");
+        let at = self.position(deadline, seq);
         debug_assert!(
-            self.nodes[target as usize].left == NIL && self.nodes[target as usize].right == NIL,
-            "exact-key split must isolate one node"
+            self.rows.get(at).is_some_and(|row| row.seq == seq),
+            "removing a job that was never inserted"
         );
-        self.free.push(target);
-        self.root = self.merge(a, c);
+        self.rows.remove(at);
+    }
+
+    /// Returns `true` if `deadline_u - E_u >= floor` for every row `u`, with
+    /// `E_u` the exec prefix sum through `u` in row order.
+    fn gaps_hold(&self, floor: f64) -> bool {
+        let mut prefix = 0.0;
+        self.rows.iter().all(|row| {
+            prefix += row.exec;
+            row.deadline - prefix >= floor
+        })
     }
 }
 
@@ -958,7 +820,7 @@ mod tests {
         let _ = tl.undo();
         assert!(!tl.push(j(2, 3.0, 2.0, 4.0)).is_feasible());
         let _ = tl.undo();
-        // Back to a dense queue: both trees restored.
+        // Back to a dense queue: the array and the future stack restored.
         assert!(!tl.has_future());
         assert!(tl.feasible());
         assert_eq!(tl.len(), 1);
@@ -980,7 +842,7 @@ mod tests {
         assert_eq!(
             tl.engine_verdicts(),
             0,
-            "one future release is answered by the treap walk"
+            "one future release is answered by the in-order walk"
         );
         let _ = tl.undo();
         assert!(tl.feasible());
@@ -1009,7 +871,7 @@ mod tests {
         assert_eq!(
             tl.engine_verdicts(),
             0,
-            "insert and the bound read the trees"
+            "insert and the bound read the sorted arrays"
         );
         assert!(!tl.feasible(), "the engine is authoritative here");
         let _ = tl.undo();
@@ -1078,7 +940,7 @@ mod tests {
         assert_eq!(
             tl.engine_verdicts(),
             0,
-            "the feasible() call above walks the treap"
+            "the feasible() call above walks the sorted array"
         );
     }
 
@@ -1108,12 +970,14 @@ mod tests {
     }
 
     #[test]
-    fn fits_leaves_timeline_unchanged() {
+    fn push_undo_probe_leaves_timeline_unchanged() {
         let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
         let _ = tl.push(j(0, 0.0, 3.0, 50.0));
         let before = tl.jobs().to_vec();
-        assert!(tl.fits(j(1, 0.0, 3.0, 10.0)));
-        assert!(!tl.fits(j(2, 0.0, 3.0, 2.0)));
+        assert!(tl.push(j(1, 0.0, 3.0, 10.0)).is_feasible());
+        let _ = tl.undo();
+        assert!(!tl.push(j(2, 0.0, 3.0, 2.0)).is_feasible());
+        let _ = tl.undo();
         assert_eq!(tl.jobs(), &before[..]);
     }
 
@@ -1169,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_push_undo_tracks_tree_state() {
+    fn interleaved_push_undo_tracks_sorted_state() {
         // Regression shape: remove from the middle of the deadline order.
         let mut tl = EdfTimeline::new(ResourceKind::Cpu, T0);
         let _ = tl.push(j(0, 0.0, 1.0, 10.0));
