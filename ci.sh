@@ -25,14 +25,13 @@ echo "==> full workspace tests (hard 600 s timeout)"
 cargo test -q --workspace --no-run
 timeout 600 cargo test -q --workspace
 
-echo "==> differential suites: incremental EDF timeline + phantom fast path + unified event queue + warm-pool sweep"
+echo "==> differential suites: incremental EDF timeline + phantom fast path + warm-pool sweep"
 cargo test -q -p rtrm-sched --test incremental
 cargo test -q -p rtrm-core --test phantom_fastpath
 cargo test -q -p rtrm-core --test prune_differential
 cargo test -q -p rtrm-core --test warmstart_differential
 cargo test -q -p rtrm-core --test presolve_differential
 cargo test -q -p rtrm-sim --test phantom_differential
-cargo test -q -p rtrm-sim --test unified_queue
 cargo test -q -p rtrm-bench --test sweep_differential
 
 echo "==> horizon: confidence gate properties + theta-endpoint differentials"

@@ -1,9 +1,9 @@
 //! Activation-latency benches for the incremental EDF admission path: the
 //! managers' decide() with the persistent [`rtrm_sched::EdfTimeline`]
 //! against the pre-incremental memoized-engine baseline
-//! (`oracle_feasibility`), plus an end-to-end trace comparison of the
-//! unified simulator event queue against the per-resource replay. The sweep
-//! records `BENCH_activation.json` at the workspace root (see README,
+//! (`oracle_feasibility`), plus an end-to-end trace run of the same
+//! simulator under each feasibility mode. The sweep records
+//! `BENCH_activation.json` at the workspace root (see README,
 //! "Performance").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -131,8 +131,9 @@ fn bench_activation_latency(c: &mut Criterion) {
     group.finish();
 
     // The recorded sweep: decide() latency (heuristic and the exact/MILP
-    // fallback ladder) and the end-to-end trace run, incremental + unified
-    // queue vs the pre-change baselines, at standing depths 8..512.
+    // fallback ladder) and the end-to-end trace run, incremental timeline vs
+    // oracle feasibility (the simulator is the same on both sides), at
+    // standing depths 8..512.
     let mut rows = Vec::new();
     let mut push_row = |series: &str, depth: usize, baseline_ns: f64, incremental_ns: f64| {
         let speedup = baseline_ns / incremental_ns;
@@ -227,19 +228,14 @@ fn bench_activation_latency(c: &mut Criterion) {
 
     for depth in DEPTHS {
         let trace = deep_trace(depth);
-        let incremental = Simulator::new(&platform, &catalog, SimConfig::default());
-        let baseline_cfg = SimConfig {
-            unified_event_queue: false,
-            ..SimConfig::default()
-        };
-        let baseline = Simulator::new(&platform, &catalog, baseline_cfg);
-        let incremental_ns = measure(|| incremental.run(&trace, &mut HeuristicRm::new(), None));
+        let sim = Simulator::new(&platform, &catalog, SimConfig::default());
+        let incremental_ns = measure(|| sim.run(&trace, &mut HeuristicRm::new(), None));
         let baseline_ns = measure(|| {
             let mut rm = HeuristicRm {
                 oracle_feasibility: true,
                 ..HeuristicRm::default()
             };
-            baseline.run(&trace, &mut rm, None)
+            sim.run(&trace, &mut rm, None)
         });
         push_row(
             "simulate_100_requests_heuristic",

@@ -159,6 +159,16 @@ fn run() -> Result<(), String> {
         }
     };
 
+    // A trace file may name task types the generated catalog lacks.
+    if let Some(r) = trace.iter().find(|r| r.task_type.index() >= catalog.len()) {
+        return Err(format!(
+            "request {} has task_type {}, but the catalog has {} types",
+            r.id.index(),
+            r.task_type.index(),
+            catalog.len()
+        ));
+    }
+
     if let Some(path) = &opts.export {
         let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
         write_trace_csv(&trace, BufWriter::new(file)).map_err(|e| e.to_string())?;

@@ -2,16 +2,11 @@
 //! manager on a heterogeneous platform, executing the chosen plans with the
 //! same EDF timeline engine the managers use for feasibility.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use rtrm_core::{
     gate_horizon, Activation, Assignment, Candidate, Decision, HorizonPolicy, JobView, Placement,
     ResourceManager, TimelinePool,
 };
-use rtrm_platform::{
-    Energy, Platform, Request, ResourceId, TaskCatalog, TaskTypeId, Time, Trace, TIME_EPSILON,
-};
+use rtrm_platform::{Energy, Platform, Request, ResourceId, TaskCatalog, TaskTypeId, Time, Trace};
 use rtrm_predict::{OverheadModel, Prediction, Predictor};
 use rtrm_sched::{simulate_into, EdfScratch, JobKey, JobOutcome, PlannedJob};
 
@@ -79,12 +74,6 @@ pub struct SimConfig {
     /// report (placements, restarts, completion times). Off by default —
     /// the log costs memory proportional to the trace.
     pub record_task_log: bool,
-    /// Advance all resources through one global event queue per trace step
-    /// (the default) instead of replaying each resource's timeline
-    /// independently. Both paths compute identical outcomes; the
-    /// per-resource replay is retained as the differential-testing reference
-    /// and benchmark baseline.
-    pub unified_event_queue: bool,
 }
 
 impl Default for SimConfig {
@@ -96,7 +85,6 @@ impl Default for SimConfig {
             lookahead: 1,
             horizon: None,
             record_task_log: false,
-            unified_event_queue: true,
         }
     }
 }
@@ -170,59 +158,27 @@ impl LiveJob {
 
 /// Reusable buffers for [`Simulator::advance`]: one trace performs an
 /// activation per request and an EDF pass per activation, so the engine
-/// heaps, the per-resource lanes, and the staging vectors are kept warm
-/// across the whole trace instead of being reallocated every event.
+/// heaps and the staging vectors are kept warm across the whole trace
+/// instead of being reallocated every event.
 #[derive(Debug, Default)]
 struct AdvanceScratch {
     edf: EdfScratch,
-    members: Vec<usize>,
+    /// Live-job indices sorted by resource, in live order within each
+    /// resource (the engine breaks equal deadlines by input order).
+    by_resource: Vec<usize>,
+    /// Per resource: its first slot in `by_resource`, then, once the sort
+    /// has filled it, one past its last.
+    offsets: Vec<usize>,
+    /// The live jobs' planned views, in `by_resource` order.
     planned: Vec<PlannedJob>,
     outcomes: Vec<JobOutcome>,
-    /// One outcome per live job (index-aligned), filled by either engine
-    /// path and consumed by the shared application loop.
+    /// One outcome per live job (index-aligned): outcomes are applied in
+    /// live order, which fixes the order of the energy sums.
     all: Vec<JobOutcome>,
-    /// Per-resource EDF state for the unified event queue.
-    lanes: Vec<Lane>,
-    /// The global event queue: at most one pending decision instant per
-    /// lane, min-ordered by `(time, resource index)`.
-    events: BinaryHeap<Reverse<(Time, u32)>>,
 }
 
-/// Per-resource state for the unified event queue: the resource's local EDF
-/// queues plus its own clock. Each lane replays exactly the decision
-/// sequence of the per-resource engine ([`simulate_into`]), but one event at
-/// a time, so a single global heap drives all resources through one pass.
-#[derive(Debug, Default)]
-struct Lane {
-    /// Jobs on this resource, in live order; the index into this vec is the
-    /// EDF tie-break, matching the engine's input order.
-    jobs: Vec<LaneJob>,
-    /// Released, unfinished jobs, min-ordered by `(deadline, lane index)`.
-    ready: BinaryHeap<Reverse<(Time, u32)>>,
-    /// Not-yet-released jobs, min-ordered by `(release, lane index)`.
-    release: BinaryHeap<Reverse<(Time, u32)>>,
-    /// Non-preemptable lane only: the job occupying the resource (a pinned
-    /// job initially; later the dispatched EDF head, running to completion).
-    committed: Option<u32>,
-    /// Lane-local clock, advanced with the engine's exact arithmetic.
-    now: f64,
-    /// Dispatched jobs run to completion (GPU semantics).
-    non_preemptive: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LaneJob {
-    /// Index into the simulator's live vec.
-    live: usize,
-    remaining: f64,
-    deadline: Time,
-    executed: f64,
-    started: bool,
-    finish: Option<f64>,
-}
-
-/// Reusable per-run state for [`Simulator::run_with_scratch`]: the advance
-/// engine's heaps and lanes, the live-job and view staging vectors, and a
+/// Reusable per-run state for [`Simulator::run_with_scratch`]: the EDF
+/// engine's heaps, the live-job and view staging vectors, and a
 /// [`rtrm_core::TimelinePool`] handed to the manager on every activation
 /// ([`rtrm_core::ResourceManager::decide_with_pool`]).
 ///
@@ -396,110 +352,6 @@ impl Session {
         self.drain(simulator, scratch);
         self.report
     }
-}
-
-/// Bit-exact mirror of the EDF engine's `advance_job`, so the unified queue
-/// reproduces [`simulate_into`] outcomes down to the last ULP (asserted by
-/// the differential property suite in `tests/unified_queue.rs`).
-fn lane_advance(job: &mut LaneJob, now: &mut f64, until: f64) -> bool {
-    let dt = (until - *now).min(job.remaining).max(0.0);
-    if dt > 0.0 {
-        job.started = true;
-        job.executed += dt;
-        job.remaining -= dt;
-        *now += dt;
-    }
-    if job.remaining <= TIME_EPSILON {
-        job.remaining = 0.0;
-        job.started = true;
-        job.finish = Some(*now);
-        return true;
-    }
-    false
-}
-
-/// Moves every job released by the lane clock into the ready queue.
-fn lane_drain(lane: &mut Lane) {
-    while let Some(&Reverse((release, seq))) = lane.release.peek() {
-        if release.value() > lane.now + TIME_EPSILON {
-            break;
-        }
-        lane.release.pop();
-        lane.ready
-            .push(Reverse((lane.jobs[seq as usize].deadline, seq)));
-    }
-}
-
-/// The lane's next decision instant, or `None` when it is finished (clock at
-/// the horizon, or no runnable work left). On a non-preemptable lane this
-/// also dispatches the EDF head (commits it to run to completion), mirroring
-/// the engine's pop-then-run order.
-fn lane_next_event(lane: &mut Lane, horizon: f64) -> Option<f64> {
-    if lane.now >= horizon - TIME_EPSILON {
-        return None;
-    }
-    if lane.non_preemptive {
-        if lane.committed.is_none() {
-            match lane.ready.pop() {
-                Some(Reverse((_, seq))) => lane.committed = Some(seq),
-                None => {
-                    // Idle: jump to the next release, if it is in range.
-                    return match lane.release.peek() {
-                        Some(&Reverse((k, _))) if k.value() < horizon => Some(k.value()),
-                        _ => None,
-                    };
-                }
-            }
-        }
-        let i = lane.committed.expect("just dispatched") as usize;
-        Some(horizon.min(lane.now + lane.jobs[i].remaining))
-    } else {
-        match lane.ready.peek() {
-            // Run the EDF head until it finishes, the horizon, or the next
-            // release (which may preempt it).
-            Some(&Reverse((_, seq))) => {
-                let next_release = lane
-                    .release
-                    .peek()
-                    .map_or(f64::INFINITY, |&Reverse((k, _))| k.value());
-                Some(
-                    horizon
-                        .min(lane.now + lane.jobs[seq as usize].remaining)
-                        .min(next_release),
-                )
-            }
-            None => match lane.release.peek() {
-                Some(&Reverse((k, _))) if k.value() < horizon => Some(k.value()),
-                _ => None,
-            },
-        }
-    }
-}
-
-/// Executes one engine-loop iteration on the lane, up to the armed decision
-/// instant `until` (which [`lane_next_event`] computed from the same queue
-/// state, untouched since — only the lane's own events mutate it).
-fn lane_process(lane: &mut Lane, until: f64) {
-    if lane.non_preemptive {
-        if let Some(seq) = lane.committed {
-            if lane_advance(&mut lane.jobs[seq as usize], &mut lane.now, until) {
-                lane.committed = None;
-                lane_drain(lane);
-            }
-            // Otherwise the horizon was hit mid-job: the clock now sits at
-            // the horizon, the lane is never re-armed, nothing else runs.
-            return;
-        }
-    } else if let Some(&Reverse((_, seq))) = lane.ready.peek() {
-        if lane_advance(&mut lane.jobs[seq as usize], &mut lane.now, until) {
-            lane.ready.pop();
-        }
-        lane_drain(lane);
-        return;
-    }
-    // Idle jump to a release instant.
-    lane.now = until;
-    lane_drain(lane);
 }
 
 /// Drives traces through a [`ResourceManager`] and collects metrics.
@@ -763,13 +615,9 @@ impl<'a> Simulator<'a> {
         decision
     }
 
-    /// Executes all live jobs from `now` to `horizon` (or to completion).
-    ///
-    /// The outcomes are computed either by the unified global event queue
-    /// (one pass over all resources) or by the per-resource replay
-    /// (reference path), per [`SimConfig::unified_event_queue`]; both fill
-    /// `scratch.all` index-aligned with `live`, and one shared loop applies
-    /// them, so the two paths produce bit-identical reports.
+    /// Executes all live jobs from `now` to `horizon` (or to completion):
+    /// one [`simulate_into`] run per resource holding live jobs, the same
+    /// engine the managers' admission test is built on.
     fn advance(
         &self,
         live: &mut Vec<LiveJob>,
@@ -781,12 +629,65 @@ impl<'a> Simulator<'a> {
         if live.is_empty() {
             return;
         }
-        if self.config.unified_event_queue {
-            self.fill_outcomes_unified(live, now, horizon, scratch);
-        } else {
-            self.fill_outcomes_per_resource(live, now, horizon, scratch);
+        let AdvanceScratch {
+            edf,
+            by_resource,
+            offsets,
+            planned,
+            outcomes,
+            all,
+        } = scratch;
+        // A counting sort by resource; being stable, it hands each
+        // resource's jobs to the engine in live order.
+        offsets.clear();
+        offsets.resize(self.platform.len(), 0);
+        for job in live.iter() {
+            offsets[job.resource.index()] += 1;
         }
-        for (job, outcome) in live.iter_mut().zip(scratch.all.iter()) {
+        let mut first = 0;
+        for slot in offsets.iter_mut() {
+            let count = *slot;
+            *slot = first;
+            first += count;
+        }
+        by_resource.resize(live.len(), 0);
+        for (i, job) in live.iter().enumerate() {
+            let slot = &mut offsets[job.resource.index()];
+            by_resource[*slot] = i;
+            *slot += 1;
+        }
+        planned.clear();
+        planned.extend(
+            by_resource
+                .iter()
+                .map(|&i| live[i].planned(now, self.platform)),
+        );
+        all.clear();
+        all.extend(live.iter().map(|j| JobOutcome {
+            key: j.key,
+            executed: Time::ZERO,
+            finish: None,
+            started: false,
+        }));
+        let mut start = 0;
+        for (resource, &end) in self.platform.resources().zip(offsets.iter()) {
+            if start == end {
+                continue;
+            }
+            simulate_into(
+                resource.kind(),
+                now,
+                &planned[start..end],
+                horizon,
+                edf,
+                outcomes,
+            );
+            for (&i, outcome) in by_resource[start..end].iter().zip(outcomes.iter()) {
+                all[i] = *outcome;
+            }
+            start = end;
+        }
+        for (job, outcome) in live.iter_mut().zip(all.iter()) {
             if outcome.executed > Time::ZERO {
                 report.busy_time[job.resource.index()] += outcome.executed;
                 let share = outcome.executed / job.remaining_busy;
@@ -818,134 +719,6 @@ impl<'a> Simulator<'a> {
             }
         }
         live.retain(|j| j.remaining_busy > Time::ZERO);
-    }
-
-    /// Reference outcome path: replay each resource's timeline independently
-    /// through [`simulate_into`] (one full engine run per resource).
-    fn fill_outcomes_per_resource(
-        &self,
-        live: &[LiveJob],
-        now: Time,
-        horizon: Option<Time>,
-        scratch: &mut AdvanceScratch,
-    ) {
-        scratch.all.clear();
-        scratch.all.extend(live.iter().map(|j| JobOutcome {
-            key: j.key,
-            executed: Time::ZERO,
-            finish: None,
-            started: false,
-        }));
-        for resource in self.platform.ids() {
-            scratch.members.clear();
-            scratch
-                .members
-                .extend((0..live.len()).filter(|&i| live[i].resource == resource));
-            if scratch.members.is_empty() {
-                continue;
-            }
-            scratch.planned.clear();
-            scratch.planned.extend(
-                scratch
-                    .members
-                    .iter()
-                    .map(|&i| live[i].planned(now, self.platform)),
-            );
-            let kind = self.platform.resource(resource).kind();
-            simulate_into(
-                kind,
-                now,
-                &scratch.planned,
-                horizon,
-                &mut scratch.edf,
-                &mut scratch.outcomes,
-            );
-            for (&i, outcome) in scratch.members.iter().zip(scratch.outcomes.iter()) {
-                scratch.all[i] = *outcome;
-            }
-        }
-    }
-
-    /// Unified outcome path: all resources advance through one global event
-    /// queue. Each heap pop executes one engine-loop iteration on one lane,
-    /// so a trace step is a single pass over the merged decision instants
-    /// instead of `R` independent timeline replays.
-    fn fill_outcomes_unified(
-        &self,
-        live: &[LiveJob],
-        now: Time,
-        horizon: Option<Time>,
-        scratch: &mut AdvanceScratch,
-    ) {
-        let horizon = horizon.map_or(f64::INFINITY, Time::value);
-        let start = now.value();
-        scratch
-            .lanes
-            .resize_with(self.platform.len(), Lane::default);
-        for resource in self.platform.ids() {
-            let lane = &mut scratch.lanes[resource.index()];
-            lane.jobs.clear();
-            lane.ready.clear();
-            lane.release.clear();
-            lane.committed = None;
-            lane.now = start;
-            lane.non_preemptive = !self.platform.resource(resource).kind().is_preemptable();
-        }
-        for (i, job) in live.iter().enumerate() {
-            let planned = job.planned(now, self.platform);
-            let lane = &mut scratch.lanes[job.resource.index()];
-            let seq = u32::try_from(lane.jobs.len()).expect("lane job count fits in u32");
-            let release = planned.release.max(now).value();
-            lane.jobs.push(LaneJob {
-                live: i,
-                remaining: planned.exec.value(),
-                deadline: planned.deadline,
-                executed: 0.0,
-                started: false,
-                finish: None,
-            });
-            if planned.pinned {
-                debug_assert!(lane.non_preemptive, "pinning is GPU-only");
-                debug_assert!(lane.committed.is_none(), "at most one pinned job");
-                lane.committed = Some(seq);
-            } else if release <= start + TIME_EPSILON {
-                lane.ready.push(Reverse((planned.deadline, seq)));
-            } else {
-                lane.release.push(Reverse((Time::new(release), seq)));
-            }
-        }
-        scratch.events.clear();
-        for resource in self.platform.ids() {
-            let r = resource.index();
-            if let Some(t) = lane_next_event(&mut scratch.lanes[r], horizon) {
-                let r = u32::try_from(r).expect("resource count fits in u32");
-                scratch.events.push(Reverse((Time::new(t), r)));
-            }
-        }
-        while let Some(Reverse((t, r))) = scratch.events.pop() {
-            let lane = &mut scratch.lanes[r as usize];
-            lane_process(lane, t.value());
-            if let Some(t) = lane_next_event(lane, horizon) {
-                scratch.events.push(Reverse((Time::new(t), r)));
-            }
-        }
-        scratch.all.clear();
-        scratch.all.extend(live.iter().map(|j| JobOutcome {
-            key: j.key,
-            executed: Time::ZERO,
-            finish: None,
-            started: false,
-        }));
-        for lane in &scratch.lanes {
-            for job in &lane.jobs {
-                scratch.all[job.live] = JobOutcome {
-                    key: live[job.live].key,
-                    executed: Time::new(job.executed),
-                    finish: job.finish.map(Time::new),
-                    started: job.started,
-                };
-            }
-        }
     }
 
     /// Applies an admitted decision: migrations (with energy lumps), GPU

@@ -1,8 +1,8 @@
 //! Deterministic micro-scenarios pinning down the simulator's energy and
-//! time accounting: execution energy, migration lumps, GPU abort waste, and
-//! reservation gates.
+//! time accounting: execution energy, migration lumps, GPU abort waste,
+//! reservation gates, and DVFS speed levels.
 
-use rtrm_core::{ExactRm, HeuristicRm};
+use rtrm_core::{Activation, Decision, ExactRm, HeuristicRm, ResourceManager};
 use rtrm_platform::{
     Energy, Platform, Request, RequestId, TaskCatalog, TaskType, TaskTypeId, Time, Trace,
 };
@@ -220,6 +220,77 @@ fn dvfs_speed_survives_preemption_and_migration() {
     assert_eq!(r.accepted, 3);
     assert_eq!(r.deadline_misses, 0);
     assert!(r.energy.value() > 0.0);
+}
+
+/// Wraps a manager and records every distinct DVFS speed it admits, so a
+/// test can prove multiple speed levels were actually exercised.
+struct SpeedRecorder<R> {
+    inner: R,
+    speeds: Vec<f64>,
+}
+
+impl<R: ResourceManager> ResourceManager for SpeedRecorder<R> {
+    fn name(&self) -> &str {
+        "speed-recorder"
+    }
+
+    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        let d = self.inner.decide(activation);
+        if d.admitted {
+            for a in &d.assignments {
+                if !self.speeds.iter().any(|s| (s - a.speed).abs() < 1e-12) {
+                    self.speeds.push(a.speed);
+                }
+            }
+        }
+        d
+    }
+}
+
+/// Regression for multi-speed candidate disambiguation: the simulator's
+/// assignment-to-candidate match must key on `(resource, restart, speed)`.
+/// A DVFS CPU offers two candidates that differ *only* in speed; if the
+/// match ignored speed, the half-speed admission below would bind to the
+/// full-speed candidate and the energy accounting (2 J vs 8 J) would break.
+#[test]
+fn dvfs_two_speed_levels_end_to_end() {
+    let platform = {
+        let mut b = Platform::builder();
+        b.cpu_with_dvfs("big0", &[0.5, 1.0]);
+        b.build()
+    };
+    let ids: Vec<_> = platform.ids().collect();
+    let ty = TaskType::builder(0, &platform)
+        .profile(ids[0], Time::new(4.0), Energy::new(8.0))
+        .build();
+    let catalog = TaskCatalog::new(vec![ty]);
+    // Loose relative deadline: half speed (8 time units, 2 J). Tight
+    // relative deadline (4.5, only the full-speed WCET of 4 fits): 8 J.
+    let trace = Trace::new(vec![req(0, 0.0, 50.0), req(1, 20.0, 4.5)]);
+
+    let sim = Simulator::new(
+        &platform,
+        &catalog,
+        SimConfig {
+            record_task_log: true,
+            ..SimConfig::default()
+        },
+    );
+    let mut rm = SpeedRecorder {
+        inner: ExactRm::new(),
+        speeds: Vec::new(),
+    };
+    let r = sim.run(&trace, &mut rm, None);
+    assert_eq!(r.accepted, 2);
+    assert_eq!(r.completed, 2);
+    assert_eq!(r.deadline_misses, 0);
+    rm.speeds.sort_by(f64::total_cmp);
+    assert_eq!(rm.speeds, vec![0.5, 1.0], "both DVFS levels exercised");
+    assert!(
+        (r.energy.value() - 10.0).abs() < 1e-9,
+        "half-speed run must charge the half-speed profile: energy={}",
+        r.energy
+    );
 }
 
 #[test]

@@ -102,7 +102,9 @@ pub fn write_trace_csv<W: Write>(trace: &Trace, mut writer: W) -> std::io::Resul
 ///
 /// Returns [`ReadTraceError::Io`] on I/O failure and
 /// [`ReadTraceError::Parse`] on malformed content — including out-of-order
-/// arrivals or non-dense ids, which [`Trace::new`] would reject by panic.
+/// arrivals or non-dense ids, which [`Trace::new`] would reject by panic,
+/// negative arrivals (simulated time starts at 0), and relative deadlines
+/// that are not positive.
 pub fn read_trace_csv<R: BufRead>(reader: R) -> Result<Trace, ReadTraceError> {
     let mut requests = Vec::new();
     for (index, line) in reader.lines().enumerate() {
@@ -150,6 +152,18 @@ pub fn read_trace_csv<R: BufRead>(reader: R) -> Result<Trace, ReadTraceError> {
         let arrival = parse_time(fields[1], "arrival")?;
         let task_type = parse_usize(fields[2], "task_type")?;
         let deadline = parse_time(fields[3], "deadline")?;
+        if arrival < Time::ZERO {
+            return Err(ReadTraceError::Parse {
+                line: index + 1,
+                message: format!("arrival must be non-negative, found {}", fields[1]),
+            });
+        }
+        if deadline <= Time::ZERO {
+            return Err(ReadTraceError::Parse {
+                line: index + 1,
+                message: format!("relative deadline must be positive, found {}", fields[3]),
+            });
+        }
         if id != requests.len() {
             return Err(ReadTraceError::Parse {
                 line: index + 1,
@@ -232,6 +246,30 @@ mod tests {
         let data = "id,arrival,task_type,deadline\n0,NaN,0,5.0\n";
         let err = read_trace_csv(data.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("finite"), "{err}");
+    }
+
+    #[test]
+    fn rejects_negative_arrival() {
+        let data = "id,arrival,task_type,deadline\n0,-5.0,0,5.0\n";
+        let err = read_trace_csv(data.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, ReadTraceError::Parse { line: 2, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("non-negative"), "{err}");
+    }
+
+    #[test]
+    fn rejects_non_positive_deadline() {
+        for deadline in ["0.0", "-1.5"] {
+            let data = format!("id,arrival,task_type,deadline\n0,0.0,0,5.0\n1,1.0,0,{deadline}\n");
+            let err = read_trace_csv(data.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, ReadTraceError::Parse { line: 3, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("positive"), "{err}");
+        }
     }
 
     #[test]
