@@ -53,6 +53,10 @@ echo "==> chaos: cooperative sweep workers killed mid-protocol (hard 300 s timeo
 # orphan into a build failure instead of a wedged CI run.
 timeout 300 cargo test -q -p rtrm-bench --test chaos_coop
 
+echo "==> results/sec52.csv is current (a deterministic rerun, about 9 s)"
+cargo run --release -q -p rtrm-bench --bin sec52
+git diff --exit-code -- results/sec52.csv
+
 echo "==> BENCH_*.json schema sanity"
 cargo test -q -p rtrm-bench --test bench_json_schema
 

@@ -232,10 +232,9 @@ fn bench_edf_sweep(c: &mut Criterion) {
     }
 
     /// Mean ns per dense probe (push + verdict + undo) of a depth-`n` dense
-    /// timeline: the probe the heuristic and the branch and bound run per
-    /// candidate. The probe's deadline walks across the queue's, so its slot
-    /// varies; the queue stays feasible, so every verdict reads the whole
-    /// queue.
+    /// timeline: a placement that fits, then the backtrack. The probe's
+    /// deadline walks across the queue's, so its slot varies; the queue
+    /// stays feasible, so every verdict reads the whole queue.
     fn measure_dense_probe(kind: rtrm_platform::ResourceKind, n: usize) -> f64 {
         use rtrm_sched::EdfTimeline;
         let now = Time::new(2.0);
@@ -258,6 +257,40 @@ fn bench_edf_sweep(c: &mut Criterion) {
         })
     }
 
+    /// Mean ns per failed `try_push` on the standing depth-`n` dense
+    /// timeline: the placement attempt the heuristic and the branch and
+    /// bound make per candidate, when the candidate does not fit. The
+    /// probe's deadline walks across the queue's as in the dense probe, and
+    /// its exec fits alone but not behind the one or more units of work
+    /// keyed before it, so the scan stops at the probe's own slot and
+    /// nothing moves.
+    fn measure_failed_probe(kind: rtrm_platform::ResourceKind, n: usize) -> f64 {
+        use rtrm_sched::EdfTimeline;
+        let now = Time::new(2.0);
+        let mut tl = EdfTimeline::new(kind, now);
+        for job in queue(n) {
+            let _ = tl.push(job);
+        }
+        let probe = move |i: u64| {
+            let deadline = Time::new(42.0 + 4.0 * (i % n as u64) as f64);
+            PlannedJob::new(
+                JobKey(1_000_000),
+                now,
+                deadline - now - Time::new(0.25),
+                deadline,
+            )
+        };
+        assert!(
+            (0..n as u64).all(|i| !tl.try_push(probe(i))),
+            "every slot's probe fails"
+        );
+        let mut i = 0u64;
+        measure(move || {
+            i += 1;
+            tl.try_push(probe(i))
+        })
+    }
+
     let mut rows = Vec::new();
     for n in DEPTHS {
         let jobs = queue(n);
@@ -272,19 +305,22 @@ fn bench_edf_sweep(c: &mut Criterion) {
             // segment sweep on CPUs, the single-release walk on GPUs) vs the
             // memoized-engine oracle baseline over the same probes.
             let timeline_dense_ns = measure_dense_probe(kind, n);
+            let timeline_probe_fail_ns = measure_failed_probe(kind, n);
             let timeline_phantom_ns = measure_phantom_probe(kind, n, false);
             let oracle_phantom_ns = measure_phantom_probe(kind, n, true);
             let phantom_speedup = oracle_phantom_ns / timeline_phantom_ns;
             println!(
                 "edf sweep: depth={n:>4} kind={label} event={event_ns:.0}ns \
                  reference={reference_ns:.0}ns speedup={speedup:.1}x \
-                 dense={timeline_dense_ns:.0}ns phantom={timeline_phantom_ns:.0}ns \
+                 dense={timeline_dense_ns:.0}ns probe_fail={timeline_probe_fail_ns:.0}ns \
+                 phantom={timeline_phantom_ns:.0}ns \
                  oracle_phantom={oracle_phantom_ns:.0}ns phantom_speedup={phantom_speedup:.1}x"
             );
             rows.push(format!(
                 "    {{\"depth\": {n}, \"kind\": \"{label}\", \"event_ns\": {event_ns:.1}, \
                  \"reference_ns\": {reference_ns:.1}, \"speedup\": {speedup:.2}, \
                  \"timeline_dense_ns\": {timeline_dense_ns:.1}, \
+                 \"timeline_probe_fail_ns\": {timeline_probe_fail_ns:.1}, \
                  \"timeline_phantom_ns\": {timeline_phantom_ns:.1}, \
                  \"oracle_phantom_ns\": {oracle_phantom_ns:.1}, \
                  \"phantom_speedup\": {phantom_speedup:.2}}}"

@@ -77,37 +77,30 @@ fn parse_args() -> Result<Options, String> {
             "--generate" => opts.generate = value("--generate")?,
             "--trace" => opts.trace_file = Some(value("--trace")?),
             "--length" => {
-                opts.length = value("--length")?
-                    .parse()
-                    .map_err(|e| format!("--length: {e}"))?;
+                opts.length = parse_in(&flag, &value(&flag)?, "at least 1", |&n| n >= 1)?;
             }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--seed" => opts.seed = parse(&flag, &value(&flag)?)?,
             "--manager" => opts.manager = value("--manager")?,
             "--predictor" => opts.predictor = value("--predictor")?,
-            "--accuracy-type" => {
-                opts.accuracy_type = value("--accuracy-type")?
-                    .parse()
-                    .map_err(|e| format!("--accuracy-type: {e}"))?;
-            }
-            "--accuracy-arrival" => {
-                opts.accuracy_arrival = value("--accuracy-arrival")?
-                    .parse()
-                    .map_err(|e| format!("--accuracy-arrival: {e}"))?;
+            "--accuracy-type" | "--accuracy-arrival" => {
+                let accuracy = parse_in(&flag, &value(&flag)?, "in [0, 1]", |a: &f64| {
+                    (0.0..=1.0).contains(a)
+                })?;
+                if flag == "--accuracy-type" {
+                    opts.accuracy_type = accuracy;
+                } else {
+                    opts.accuracy_arrival = accuracy;
+                }
             }
             "--overhead" => {
-                opts.overhead = value("--overhead")?
-                    .parse()
-                    .map_err(|e| format!("--overhead: {e}"))?;
+                opts.overhead = parse_in(
+                    &flag,
+                    &value(&flag)?,
+                    "finite and non-negative",
+                    |c: &f64| c.is_finite() && *c >= 0.0,
+                )?;
             }
-            "--lookahead" => {
-                opts.lookahead = value("--lookahead")?
-                    .parse()
-                    .map_err(|e| format!("--lookahead: {e}"))?;
-            }
+            "--lookahead" => opts.lookahead = parse(&flag, &value(&flag)?)?,
             "--export" => opts.export = Some(value("--export")?),
             "--help" | "-h" => {
                 return Err(
@@ -118,6 +111,35 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// Parses `text`, the value of `flag`.
+fn parse<T>(flag: &str, text: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Like [`parse`], but rejects a value that fails `valid`, which
+/// `expected` describes.
+fn parse_in<T>(
+    flag: &str,
+    text: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let parsed: T = parse(flag, text)?;
+    if valid(&parsed) {
+        Ok(parsed)
+    } else {
+        Err(format!("{flag} must be {expected}, got {parsed}"))
+    }
 }
 
 fn main() -> ExitCode {

@@ -249,12 +249,20 @@ fn bench_edf_json_schema_is_current() {
         assert!(matches!(kind, "cpu" | "gpu"), "unknown kind {kind}");
         assert!(row.get("event_ns").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(row.get("reference_ns").and_then(Json::as_f64).unwrap() > 0.0);
-        // The dense probe every manager runs per candidate: push + verdict
+        // A dense placement that fits, then its backtrack: push + verdict
         // + undo on the standing queue.
         assert!(
             row.get("timeline_dense_ns")
                 .and_then(Json::as_f64)
                 .expect("row timeline_dense_ns")
+                > 0.0
+        );
+        // A placement attempt that fails: one `try_push` on the standing
+        // queue, which moves nothing.
+        assert!(
+            row.get("timeline_probe_fail_ns")
+                .and_then(Json::as_f64)
+                .expect("row timeline_probe_fail_ns")
                 > 0.0
         );
         // With-phantom columns: incremental timeline probe vs the memoized
@@ -282,7 +290,8 @@ fn bench_edf_json_schema_is_current() {
     // engine per probe on both kinds: the segment sweep on the preemptable
     // one, the single-release walk on the non-preemptable one. At the
     // depth the managers' queues reach, a dense probe must cost at most
-    // half an engine run over the same queue.
+    // half an engine run over the same queue, and a failed probe, which
+    // moves no memory, less than a dense probe.
     let results = doc.get("results").and_then(Json::as_array).unwrap();
     let row = |kind: &str, depth: f64| {
         results
@@ -312,6 +321,15 @@ fn bench_edf_json_schema_is_current() {
             dense_ns <= event_ns / 2.0,
             "{kind} dense probe at depth 32 costs over half an engine run: \
              {dense_ns} ns vs {event_ns} ns"
+        );
+        let fail_ns = row_32
+            .get("timeline_probe_fail_ns")
+            .and_then(Json::as_f64)
+            .unwrap();
+        assert!(
+            fail_ns < dense_ns,
+            "{kind} failed probe at depth 32 costs no less than a dense probe: \
+             {fail_ns} ns vs {dense_ns} ns"
         );
     }
 }

@@ -375,21 +375,22 @@ impl TimelinePool {
 /// A partial plan under construction: one persistent [`EdfTimeline`] per
 /// resource. Shared by the heuristic and the exact optimizer.
 ///
-/// A placement attempt ([`try_place`](PlanBuilder::try_place)) pushes the
-/// candidate onto the retained, deadline-sorted timeline and reads the
-/// verdict with one scan of it for dense queues — the common case — instead
-/// of re-simulating the whole queue, and keeps the job if it fits (undoing
-/// the push only if it does not); backtracking
-/// ([`unplace_last`](PlanBuilder::unplace_last)) keeps the timeline in sync
-/// with one binary search and shift. Queues containing future-released jobs
-/// (phantoms, delayed arrivals) stay incremental on preemptable resources —
-/// the timeline answers them with a per-release-segment demand-criterion
-/// sweep — and a non-preemptable queue holding one future release is
-/// answered by one in-order walk of the timeline's sorted array. Only
-/// non-preemptable queues with two or more future releases fall back to
-/// memoized from-scratch engine runs, where the scheduling anomaly genuinely
-/// needs the engine; exactness is never traded away. Committing
-/// ([`place`](PlanBuilder::place)) computes no verdict.
+/// A placement attempt ([`try_place`](PlanBuilder::try_place)) probes first:
+/// for a dense candidate — the common case — it scans the retained,
+/// deadline-sorted timeline once with the job merged in at its slot,
+/// instead of re-simulating the whole queue. A failed probe moves nothing;
+/// a job that fits is committed at the index the scan found, and
+/// backtracking ([`unplace_last`](PlanBuilder::unplace_last)) removes it
+/// again by that recorded index, with no search. Queues containing
+/// future-released jobs (phantoms, delayed arrivals) stay incremental on
+/// preemptable resources — the timeline answers them with a
+/// per-release-segment demand-criterion sweep — and a non-preemptable queue
+/// holding one future release is answered by one in-order walk of the
+/// timeline's sorted array. Only non-preemptable queues with two or more
+/// future releases fall back to memoized from-scratch engine runs, where
+/// the scheduling anomaly genuinely needs the engine; exactness is never
+/// traded away. Committing ([`place`](PlanBuilder::place)) computes no
+/// verdict.
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     activation: &'a Activation<'a>,
@@ -454,31 +455,32 @@ impl<'a> PlanBuilder<'a> {
 
     /// Places `job` via `candidate` if that keeps the resource's queue
     /// schedulable (the heuristic's `IsSchedulable` followed by the commit)
-    /// and returns whether it did. One timeline push, undone only when the
-    /// verdict fails: one scan of the sorted queue when it is dense, one
-    /// in-order walk of it on a non-preemptable queue holding one future
-    /// release.
+    /// and returns whether it did: one [`EdfTimeline::try_push`]. A dense
+    /// job on a queue the demand scan decides is probed first — one scan of
+    /// the sorted queue with the job merged in — and committed at the index
+    /// the scan found, so a failed attempt moves nothing. Other attempts
+    /// push, read the verdict (one in-order walk of the sorted queue on a
+    /// non-preemptable queue holding one future release) and undo on a
+    /// failure.
     #[must_use = "an unchecked placement attempt hides an admission failure"]
     pub fn try_place(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let planned = self.planned_job(job, candidate);
-        let timeline = self.prepare(candidate.resource);
-        if timeline.push(planned).is_feasible() {
-            return true;
-        }
-        let _ = timeline.undo();
-        false
+        self.prepare(candidate.resource).try_push(planned)
     }
 
-    /// Like [`try_place`](PlanBuilder::try_place), but on a non-preemptable
-    /// resource whose queue would hold a future-released job it answers with
-    /// the timeline's [`demand_feasible`](EdfTimeline::demand_feasible) bound
-    /// and *defers* the exact verdict. On such queues feasibility is not
-    /// monotone under job addition — a later placement can push the dispatch
-    /// of an early job past the future release and *repair* the schedule (a
-    /// classic non-preemptive scheduling anomaly) — so an exact search must
-    /// not prune on the exact partial verdict. The demand bound is necessary
-    /// and only tightens as jobs are added, so a `false` here cuts a subtree
-    /// without a feasible leaf; the search re-validates complete plans with
+    /// Like [`try_place`](PlanBuilder::try_place), and answered by the same
+    /// probe-first [`EdfTimeline::try_push`], except on a non-preemptable
+    /// resource whose queue would hold a future-released job: there it
+    /// inserts the job, reads the timeline's
+    /// [`demand_feasible`](EdfTimeline::demand_feasible) bound, undoes the
+    /// job when the bound fails, and *defers* the exact verdict. On such
+    /// queues feasibility is not monotone under job addition — a later
+    /// placement can push the dispatch of an early job past the future
+    /// release and *repair* the schedule (a classic non-preemptive
+    /// scheduling anomaly) — so an exact search must not prune on the exact
+    /// partial verdict. The demand bound is necessary and only tightens as
+    /// jobs are added, so a `false` here cuts a subtree without a feasible
+    /// leaf; the search re-validates complete plans with
     /// [`all_schedulable`](PlanBuilder::all_schedulable).
     ///
     /// The bound cannot see non-preemptive *blocking*: a dense job that
@@ -490,23 +492,19 @@ impl<'a> PlanBuilder<'a> {
     /// work as headroom.
     #[must_use = "an unchecked placement attempt hides an admission failure"]
     pub fn try_place_or_defer(&mut self, job: &JobView, candidate: &Candidate) -> bool {
-        let r = candidate.resource;
-        if self.activation.platform.resource(r).kind().is_preemptable() {
-            return self.try_place(job, candidate);
-        }
         let now = self.activation.now;
         let planned = self.planned_job(job, candidate);
-        let timeline = self.prepare(r);
+        let timeline = self.prepare(candidate.resource);
         // `released_by` is the same epsilon-tolerant predicate the engine and
         // the timelines classify with, and `has_future` reads the timeline's
         // retained release stack in O(1) instead of rescanning the queue.
-        let defer = !planned.release.released_by(now) || timeline.has_future();
+        let defer = !timeline.kind().is_preemptable()
+            && (!planned.release.released_by(now) || timeline.has_future());
+        if !defer {
+            return timeline.try_push(planned);
+        }
         timeline.insert(planned);
-        let verdict = if defer {
-            timeline.demand_feasible()
-        } else {
-            timeline.feasible()
-        };
+        let verdict = timeline.demand_feasible();
         if !verdict {
             let _ = timeline.undo();
         }
@@ -536,13 +534,23 @@ impl<'a> PlanBuilder<'a> {
         self.prepare(candidate.resource).insert(planned);
     }
 
-    /// Removes the most recently placed job from `resource` (backtracking).
+    /// Removes the most recently placed job from `resource` (backtracking),
+    /// by the array index its placement recorded.
     ///
     /// # Panics
     ///
-    /// Panics if nothing is placed on `resource`.
+    /// Panics if `resource`'s timeline is empty. Call it only for a resource
+    /// this builder placed a job on: the check that the resource was
+    /// touched by this builder runs in debug builds only, and in release
+    /// builds an untouched resource would lose the last job an earlier
+    /// builder left on it.
     pub fn unplace_last(&mut self, resource: ResourceId) {
-        let _ = self.prepare(resource).undo();
+        let i = resource.index();
+        debug_assert_eq!(
+            self.pool.touched_epoch[i], self.pool.epoch,
+            "unplace_last on a resource this builder never placed a job on"
+        );
+        let _ = self.pool.timelines[i].undo();
     }
 
     /// Number of jobs currently placed on `resource` (0 for resources this

@@ -6,8 +6,8 @@
 //! consecutive probes differ by a single job. Re-simulating the whole queue —
 //! even with the event-driven engine — costs an O(n log n) run with heap
 //! traffic per probe. [`EdfTimeline`] instead *retains* the queue between
-//! probes, already sorted: [`EdfTimeline::push`] splices one job in and
-//! re-derives the verdict with one linear scan, and [`EdfTimeline::undo`]
+//! probes, already sorted: [`EdfTimeline::try_push`] judges one job with one
+//! linear scan and keeps it only if it fits, and [`EdfTimeline::undo`]
 //! removes it again.
 //!
 //! # How the incremental verdict works
@@ -25,16 +25,32 @@
 //! ```
 //!
 //! The timeline keeps the jobs in one array sorted by `(deadline, push
-//! order)`. A push finds its slot by binary search and shifts the tail; an
-//! undo finds and removes it the same way; the verdict is one left-to-right
-//! scan accumulating `E_u`, stopping at the first gap below the bound. Each
-//! of the three is O(n) with small constants. The queues the managers probe
+//! order)`, and works in three steps:
+//!
+//! * **Probe first.** A new job's push order is the largest yet, so its
+//!   slot is behind every row whose deadline is not later than its own.
+//!   [`EdfTimeline::try_push`] runs the verdict before it moves anything:
+//!   one left-to-right scan accumulating `E_u` with the job merged in at
+//!   that slot, stopping at the first gap below the bound. It adds the same
+//!   floats in the same order as a scan of the array with the job inserted,
+//!   so the verdict is the same bit for bit. A failed probe leaves the
+//!   timeline untouched.
+//! * **Commit at the found index.** A job that fits is inserted at the slot
+//!   the scan passed, and the slot is recorded with it.
+//! * **Undo by recorded index.** Undo is strict LIFO, so when
+//!   [`EdfTimeline::undo`] retracts a job its row still sits at the
+//!   recorded slot: it is removed there, with no search.
+//!
+//! Each step is O(n) with small constants. The queues the managers probe
 //! are shallow (tens of jobs per resource), where a contiguous scan beats a
 //! balanced tree's O(log n) pointer chasing; a balanced tree wins back only
 //! on queues of several hundred jobs on one resource (the measured
 //! crossover lies between 128 and 512). The scan also makes every verdict
 //! a function of the queue's content alone: `E_u` is always summed in key
-//! order, whatever the push history.
+//! order, whatever the push history. Probes the scan cannot answer alone —
+//! a pinned job, a future release, a non-preemptable queue that holds one,
+//! oracle mode — insert first, read [`EdfTimeline::feasible`] and undo on a
+//! failed verdict.
 //!
 //! # Future releases and the pinned prefix: the demand sweep
 //!
@@ -143,19 +159,21 @@ impl From<bool> for Feasibility {
     }
 }
 
-/// Where a pushed job went, so [`EdfTimeline::undo`] can unwind it.
+/// Where a pushed job went, so [`EdfTimeline::undo`] can unwind it. The
+/// array slots stay valid because undo is strict LIFO: every row inserted
+/// after a job is removed before it.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// Dense job: lives in the deadline-sorted array.
-    Dense,
+    /// Dense job: lives at this index of the deadline-sorted array.
+    Dense(u32),
     /// The pinned job (held outside the array; it dispatches first).
     Pinned,
-    /// Released after `now` (beyond [`TIME_EPSILON`]): lives in the
-    /// deadline-sorted array *and* on the release stack, so verdicts can run
-    /// the demand-criterion sweep per release segment (and, on
+    /// Released after `now` (beyond [`TIME_EPSILON`]): lives at this index
+    /// of the deadline-sorted array *and* on the release stack, so verdicts
+    /// can run the demand-criterion sweep per release segment (and, on
     /// non-preemptable resources, the single-release walk or the engine
     /// fallback).
-    Future,
+    Future(u32),
 }
 
 /// Entries allowed in the engine-fallback memo (non-preemptable queues with
@@ -165,11 +183,12 @@ enum Slot {
 const MEMO_CAP: usize = 4096;
 
 /// A persistent single-resource EDF timeline with incremental admission:
-/// one push, verdict and undo cost a binary search, a shift and a scan over
-/// the retained queue.
+/// a probe costs one scan over the retained queue, and a kept job one shift.
 ///
-/// Push jobs with [`push`](EdfTimeline::push), retract the most recent one
-/// with [`undo`](EdfTimeline::undo) (strict stack discipline), and read the
+/// Place jobs that must fit with [`try_push`](EdfTimeline::try_push), push
+/// them unconditionally with [`push`](EdfTimeline::push) or
+/// [`insert`](EdfTimeline::insert), retract the most recent one with
+/// [`undo`](EdfTimeline::undo) (strict stack discipline), and read the
 /// current verdict with [`feasible`](EdfTimeline::feasible). The semantics
 /// are exactly those of [`is_schedulable_with`] over
 /// [`jobs`](EdfTimeline::jobs): preemptive EDF on CPUs, work-conserving
@@ -186,13 +205,15 @@ const MEMO_CAP: usize = 4096;
 /// let a = PlannedJob::new(JobKey(0), now, Time::new(3.0), Time::new(5.0));
 /// let b = PlannedJob::new(JobKey(1), now, Time::new(4.0), Time::new(6.0));
 ///
-/// assert!(timeline.push(a).is_feasible());
-/// // `b` cannot fit behind `a`'s three units of work: 3 + 4 > 6.
-/// assert!(!timeline.push(b).is_feasible());
-/// let popped = timeline.undo(); // retract `b`; `a` alone is fine again
-/// assert_eq!(popped.key, JobKey(1));
-/// assert!(timeline.feasible());
+/// assert!(timeline.try_push(a));
+/// // `b` cannot fit behind `a`'s three units of work: 3 + 4 > 6. The
+/// // failed probe leaves the timeline as it was.
+/// assert!(!timeline.try_push(b));
 /// assert_eq!(timeline.len(), 1);
+/// assert!(timeline.feasible());
+/// let popped = timeline.undo(); // retract `a`
+/// assert_eq!(popped.key, JobKey(0));
+/// assert!(timeline.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct EdfTimeline {
@@ -320,8 +341,10 @@ impl EdfTimeline {
     ///
     /// The verdict is [`#[must_use]`](Feasibility): an uninspected push is an
     /// admission decision nobody checked. An infeasible push still retains
-    /// the job — retract it with [`undo`](EdfTimeline::undo) if the caller
-    /// was only probing.
+    /// the job — retract it with [`undo`](EdfTimeline::undo). A caller that
+    /// keeps the job only if it fits wants
+    /// [`try_push`](EdfTimeline::try_push), which probes before it moves
+    /// anything.
     ///
     /// # Panics
     ///
@@ -351,10 +374,7 @@ impl EdfTimeline {
     ///
     /// As [`push`](EdfTimeline::push).
     pub fn insert(&mut self, job: PlannedJob) {
-        assert!(
-            job.exec >= Time::ZERO && job.exec.is_finite(),
-            "job exec must be finite and non-negative"
-        );
+        assert_exec(&job);
         let seq = self.jobs.len() as u32;
         let slot = if job.pinned {
             assert!(
@@ -374,17 +394,82 @@ impl EdfTimeline {
             // demand criterion spans every unpinned job, and the
             // single-release walk reads it in key order — and its index is
             // stacked for the per-segment sweep.
-            self.by_deadline.insert(Row::new(&job, seq));
+            let at = self.by_deadline.insert_newest(Row::new(&job, seq));
             if job.release.released_by(self.start) {
-                Slot::Dense
+                Slot::Dense(at)
             } else {
                 self.future_stack.push(seq);
-                Slot::Future
+                Slot::Future(at)
             }
         };
         self.overruns += u32::from(self.overruns_alone(&job));
         self.jobs.push(job);
         self.slots.push(slot);
+    }
+
+    /// Places `job` if the whole queue stays schedulable with it and
+    /// returns whether it did: the verdict, bit for bit, of
+    /// [`push`](EdfTimeline::push) followed by [`undo`](EdfTimeline::undo)
+    /// when it fails.
+    ///
+    /// An unpinned job released by `now`, on a queue whose exact verdict is
+    /// the demand scan (a preemptable queue, or one with no future
+    /// release), is probed before anything moves: one scan of the sorted
+    /// array with `job` merged in at its slot. A failed probe leaves the
+    /// timeline untouched; a kept job is inserted at the slot the scan
+    /// found. Every other probe — a pinned job, a future release, a
+    /// non-preemptable queue holding one, oracle mode — pushes, reads
+    /// [`feasible`](EdfTimeline::feasible) and undoes on a failed verdict.
+    ///
+    /// # Panics
+    ///
+    /// As [`push`](EdfTimeline::push).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtrm_platform::{ResourceKind, Time};
+    /// use rtrm_sched::{EdfTimeline, JobKey, PlannedJob};
+    ///
+    /// let now = Time::ZERO;
+    /// let mut timeline = EdfTimeline::new(ResourceKind::Gpu, now);
+    /// let held = PlannedJob::new(JobKey(0), now, Time::new(4.0), Time::new(9.0));
+    /// let probe = PlannedJob::new(JobKey(1), now, Time::new(6.0), Time::new(7.0));
+    /// assert!(timeline.try_push(held));
+    /// assert!(!timeline.try_push(probe), "4 + 6 > 7");
+    /// assert_eq!(timeline.jobs(), &[held], "a failed probe keeps nothing");
+    /// ```
+    #[must_use = "an unchecked placement attempt hides an admission failure"]
+    pub fn try_push(&mut self, job: PlannedJob) -> bool {
+        let scan_decides = !self.oracle
+            && !job.pinned
+            && job.release.released_by(self.start)
+            && (self.kind.is_preemptable() || self.future_stack.is_empty());
+        if !scan_decides {
+            if self.push(job).is_feasible() {
+                return true;
+            }
+            let _ = self.undo();
+            return false;
+        }
+        assert_exec(&job);
+        // The verdict `push` would read, in `demand_feasible`'s terms: `job`
+        // joins only the `now + B` segment, the main array's scan, so the
+        // later segments are those of the queue without it.
+        if self.overruns > 0 || self.overruns_alone(&job) {
+            return false;
+        }
+        let row = Row::new(&job, self.jobs.len() as u32);
+        let Some(at) = self.by_deadline.probe(&row, self.base() - TIME_EPSILON) else {
+            return false;
+        };
+        if !self.segments_hold() {
+            return false;
+        }
+        self.by_deadline.rows.insert(at as usize, row);
+        self.jobs.push(job);
+        self.slots.push(Slot::Dense(at));
+        true
     }
 
     /// The engine's fast necessary condition, failed: `job` cannot finish by
@@ -424,14 +509,12 @@ impl EdfTimeline {
     pub fn undo(&mut self) -> PlannedJob {
         let job = self.jobs.pop().expect("undo on an empty timeline");
         self.overruns -= u32::from(self.overruns_alone(&job));
+        let seq = self.jobs.len() as u32;
         match self.slots.pop().expect("slots parallel jobs") {
-            Slot::Dense => self
-                .by_deadline
-                .remove(job.deadline.value(), self.jobs.len() as u32),
+            Slot::Dense(at) => self.by_deadline.remove_at(at, seq),
             Slot::Pinned => self.pinned = None,
-            Slot::Future => {
-                self.by_deadline
-                    .remove(job.deadline.value(), self.jobs.len() as u32);
+            Slot::Future(at) => {
+                self.by_deadline.remove_at(at, seq);
                 let idx = self
                     .future_stack
                     .pop()
@@ -555,16 +638,27 @@ impl EdfTimeline {
     /// mode too, and never runs the engine.
     #[must_use]
     pub fn demand_feasible(&mut self) -> bool {
-        if self.overruns > 0 {
-            return false;
-        }
-        let base = match self.pinned {
+        self.overruns == 0
+            && self.by_deadline.gaps_hold(self.base() - TIME_EPSILON)
+            && self.segments_hold()
+    }
+
+    /// `now + B`: the instant the unpinned jobs can start, behind the pinned
+    /// job's execution `B` (zero without one).
+    fn base(&self) -> f64 {
+        match self.pinned {
             Some(i) => self.start + self.jobs[i].exec,
             None => self.start,
         }
-        .value();
-        if !self.by_deadline.gaps_hold(base - TIME_EPSILON) {
-            return false;
+        .value()
+    }
+
+    /// The demand criterion's segments that begin at a future release past
+    /// `now + B` (see [`demand_feasible`](EdfTimeline::demand_feasible)):
+    /// `true` when the queue holds no future release.
+    fn segments_hold(&mut self) -> bool {
+        if self.future_stack.is_empty() {
+            return true;
         }
         // A non-preemptive dispatch at a completion instant (the pinned
         // job's included) takes every job released within TIME_EPSILON of
@@ -637,11 +731,7 @@ impl EdfTimeline {
             return false;
         }
         let f = self.jobs[future as usize];
-        let mut start = match self.pinned {
-            Some(i) => self.start + self.jobs[i].exec,
-            None => self.start,
-        }
-        .value();
+        let mut start = self.base();
         let blocked = self.by_deadline.rows.iter().try_for_each(|row| {
             if row.seq == future {
                 return ControlFlow::Continue(());
@@ -683,6 +773,14 @@ impl EdfTimeline {
     }
 }
 
+/// Checks the invariant every pushed job's execution time keeps.
+fn assert_exec(job: &PlannedJob) {
+    assert!(
+        job.exec >= Time::ZERO && job.exec.is_finite(),
+        "job exec must be finite and non-negative"
+    );
+}
+
 /// Runs one job non-preemptively from `*now` to completion, as the engine
 /// dispatches it: `Break(false)` when it finishes past its deadline,
 /// `Break(true)` when rounding leaves it unfinished (the engine then ends
@@ -709,55 +807,86 @@ struct DeadlineOrder {
 #[derive(Debug, Clone, Copy)]
 struct Row {
     deadline: f64,
-    seq: u32,
     exec: f64,
+    /// `deadline` as an integer that orders as `f64::total_cmp` does, so the
+    /// row order matches the engine's heap order bit for bit.
+    key: i64,
+    seq: u32,
 }
 
 impl Row {
     fn new(job: &PlannedJob, seq: u32) -> Self {
+        let deadline = job.deadline.value();
+        // `total_cmp`'s own mapping: flip the magnitude bits of negatives.
+        let bits = deadline.to_bits() as i64;
         Row {
-            deadline: job.deadline.value(),
-            seq,
+            deadline,
             exec: job.exec.value(),
+            key: bits ^ (((bits >> 63) as u64) >> 1) as i64,
+            seq,
         }
+    }
+
+    /// Adds the row's exec to the prefix sum `E_u` and returns whether its
+    /// gap `deadline_u - E_u` reaches `floor`.
+    fn gap_holds(&self, prefix: &mut f64, floor: f64) -> bool {
+        *prefix += self.exec;
+        self.deadline - *prefix >= floor
     }
 }
 
 impl DeadlineOrder {
-    /// Index of the first row not keyed before `(deadline, seq)`. Deadlines
-    /// compare by `total_cmp`, so the row order matches the engine's heap
-    /// order bit for bit.
-    fn position(&self, deadline: f64, seq: u32) -> usize {
-        self.rows.partition_point(|row| {
-            row.deadline
-                .total_cmp(&deadline)
-                .then(row.seq.cmp(&seq))
-                .is_lt()
-        })
-    }
-
+    /// Inserts `row` at its `(deadline, seq)` position. The segment sweep
+    /// inserts in release order, so its `seq`s arrive in any order.
     fn insert(&mut self, row: Row) {
-        let at = self.position(row.deadline, row.seq);
+        let at = self
+            .rows
+            .partition_point(|other| (other.key, other.seq) < (row.key, row.seq));
         self.rows.insert(at, row);
     }
 
-    fn remove(&mut self, deadline: f64, seq: u32) {
-        let at = self.position(deadline, seq);
-        debug_assert!(
-            self.rows.get(at).is_some_and(|row| row.seq == seq),
-            "removing a job that was never inserted"
-        );
-        self.rows.remove(at);
+    /// Inserts `row`, the newest (its `seq` exceeds every other's), behind
+    /// every row whose deadline is not later than its own, and returns the
+    /// index.
+    fn insert_newest(&mut self, row: Row) -> u32 {
+        let at = self.rows.partition_point(|other| other.key <= row.key);
+        self.rows.insert(at, row);
+        at as u32
+    }
+
+    /// Removes the row `seq` from index `at`, where it was inserted.
+    fn remove_at(&mut self, at: u32, seq: u32) {
+        let row = self.rows.remove(at as usize);
+        debug_assert_eq!(row.seq, seq, "undo is strict LIFO");
     }
 
     /// Returns `true` if `deadline_u - E_u >= floor` for every row `u`, with
     /// `E_u` the exec prefix sum through `u` in row order.
     fn gaps_hold(&self, floor: f64) -> bool {
         let mut prefix = 0.0;
-        self.rows.iter().all(|row| {
-            prefix += row.exec;
-            row.deadline - prefix >= floor
-        })
+        self.rows
+            .iter()
+            .all(|row| row.gap_holds(&mut prefix, floor))
+    }
+
+    /// [`gaps_hold`](DeadlineOrder::gaps_hold) over the rows with `new`
+    /// merged in where [`insert_newest`](DeadlineOrder::insert_newest)
+    /// would put it, without moving a row: the same floats summed in the
+    /// same order. Returns that index when every gap holds.
+    fn probe(&self, new: &Row, floor: f64) -> Option<u32> {
+        let mut prefix = 0.0;
+        let mut at = 0;
+        while let Some(row) = self.rows.get(at).filter(|row| row.key <= new.key) {
+            if !row.gap_holds(&mut prefix, floor) {
+                return None;
+            }
+            at += 1;
+        }
+        let holds = new.gap_holds(&mut prefix, floor)
+            && self.rows[at..]
+                .iter()
+                .all(|row| row.gap_holds(&mut prefix, floor));
+        holds.then_some(at as u32)
     }
 }
 
@@ -979,6 +1108,57 @@ mod tests {
         assert!(!tl.push(j(2, 0.0, 3.0, 2.0)).is_feasible());
         let _ = tl.undo();
         assert_eq!(tl.jobs(), &before[..]);
+    }
+
+    #[test]
+    fn failed_try_push_moves_nothing() {
+        let mut tl = EdfTimeline::new(ResourceKind::Cpu, T0);
+        let a = j(0, 0.0, 4.0, 6.5);
+        assert!(tl.try_push(a));
+        // 4 + 5 > 8: fails at its own slot, behind `a`.
+        assert!(!tl.try_push(j(1, 0.0, 5.0, 8.0)));
+        // Fits alone (3 <= 3) but `a` then finishes at 7 > 6.5.
+        assert!(!tl.try_push(j(2, 0.0, 3.0, 3.0)));
+        assert_eq!(tl.jobs(), &[a]);
+        assert!(tl.feasible());
+        assert_eq!(tl.undo(), a);
+        assert!(tl.is_empty());
+    }
+
+    #[test]
+    fn try_push_goes_behind_equal_deadlines() {
+        // On a GPU the order inside a run of equal deadlines decides when a
+        // future release dispatches: `a` then `b` completes at 3 and 4, so
+        // `f` (released at 0.5) starts at 3 and misses 2.5; `b` first would
+        // start it at 1.
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        assert!(tl.try_push(j(0, 0.0, 3.0, 10.0)));
+        assert!(tl.try_push(j(1, 0.0, 1.0, 10.0)));
+        let f = j(2, 0.5, 1.0, 2.5);
+        assert!(!is_schedulable(
+            ResourceKind::Gpu,
+            T0,
+            &[tl.jobs(), &[f]].concat()
+        ));
+        assert!(!tl.try_push(f));
+        assert_eq!(tl.len(), 2);
+        assert!(!tl.has_future());
+    }
+
+    #[test]
+    fn try_push_on_cpu_keeps_the_future_segments() {
+        let mut tl = EdfTimeline::new(ResourceKind::Cpu, T0);
+        // The future job needs [3, 5] to itself.
+        assert!(tl.try_push(j(0, 3.0, 2.0, 5.0)));
+        assert!(tl.has_future());
+        // 4 units due at 9 fit around it; 5 more due at 7 do not.
+        assert!(tl.try_push(j(1, 0.0, 4.0, 9.0)));
+        assert!(!tl.try_push(j(2, 0.0, 5.0, 7.0)));
+        assert!(tl.feasible());
+        assert_eq!(tl.undo().key, JobKey(1));
+        assert_eq!(tl.undo().key, JobKey(0));
+        assert!(!tl.has_future());
+        assert_eq!(tl.engine_verdicts(), 0);
     }
 
     #[test]

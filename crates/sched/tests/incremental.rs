@@ -980,3 +980,132 @@ fn phantom_ladder_stays_incremental_on_cpu() {
         "preemptable ladder probes must never route through the engine"
     );
 }
+
+/// Dense pushes whose deadlines take one of four values, so most land
+/// inside a run of equal deadlines, and future releases (the `2ε` and
+/// lattice offsets of [`eps_release`]) due at most one unit after they
+/// could finish, keyed ahead of every dense job. On a GPU such a release
+/// dispatches at the first completion after it, so the order inside the
+/// first run of equal deadlines — a probe's slot among its peers — decides
+/// whether it fits.
+fn tied_op() -> impl Strategy<Value = Op> {
+    (
+        eps_release(),
+        lattice(1..24),
+        2u32..6,
+        lattice(0..9),
+        0u8..10,
+    )
+        .prop_map(|(release, exec, level, slack, sel)| match sel {
+            0..=1 => Op::Undo,
+            _ if release > TIME_EPSILON => Op::Push {
+                release,
+                exec,
+                deadline: release + exec + slack,
+                pinned: false,
+            },
+            _ => Op::Push {
+                release,
+                exec,
+                deadline: f64::from(level) * 4.0,
+                pinned: sel == 2,
+            },
+        })
+}
+
+/// One step of a probe episode: a push with the flag set goes through
+/// `try_push`, which keeps the job only if the queue stays schedulable.
+fn probe_step() -> impl Strategy<Value = (Op, bool)> {
+    (
+        prop_oneof![lattice_op(), eps_op(), tied_op()],
+        prop_oneof![Just(false), Just(true), Just(true)],
+    )
+}
+
+/// Replays `steps` on an [`EdfTimeline`], probing some pushes with
+/// `try_push` and pushing the rest unconditionally, and asserts after every
+/// step that the probe's answer, the retained queue and the verdict agree
+/// with [`is_schedulable_with`] over the plain job list. A failed probe must
+/// leave that list as it was.
+fn run_probe_differential(
+    kind: ResourceKind,
+    now: f64,
+    oracle: bool,
+    steps: &[(Op, bool)],
+) -> Result<(), TestCaseError> {
+    let now = Time::new(now);
+    let mut timeline = EdfTimeline::new(kind, now);
+    timeline.set_oracle(oracle);
+    let mut model: Vec<PlannedJob> = Vec::new();
+    let mut scratch = EdfScratch::new();
+    for (step, &(op, probe)) in steps.iter().enumerate() {
+        match op {
+            Op::Push {
+                release,
+                exec,
+                deadline,
+                pinned,
+            } => {
+                let mut job = PlannedJob::new(
+                    JobKey(step as u64),
+                    now + Time::new(release),
+                    Time::new(exec),
+                    now + Time::new(deadline),
+                );
+                job.pinned = pinned
+                    && kind == ResourceKind::Gpu
+                    && release == 0.0
+                    && !model.iter().any(|j| j.pinned);
+                model.push(job);
+                let fits = is_schedulable_with(kind, now, &model, &mut scratch);
+                if probe {
+                    let kept = timeline.try_push(job);
+                    prop_assert_eq!(kept, fits, "try_push at step {} on {:?}", step, &model);
+                    if !kept {
+                        model.pop();
+                    }
+                } else {
+                    let verdict = timeline.push(job).is_feasible();
+                    prop_assert_eq!(verdict, fits, "push at step {} on {:?}", step, &model);
+                }
+            }
+            Op::Undo => {
+                if model.is_empty() {
+                    continue;
+                }
+                let popped = timeline.undo();
+                prop_assert_eq!(Some(popped), model.pop(), "undo returned the wrong job");
+            }
+        }
+        prop_assert_eq!(timeline.jobs(), &model[..]);
+        prop_assert_eq!(timeline.len(), model.len());
+        prop_assert_eq!(
+            timeline.has_future(),
+            model.iter().any(|j| !j.release.released_by(now))
+        );
+        prop_assert_eq!(
+            timeline.feasible(),
+            is_schedulable_with(kind, now, &model, &mut scratch),
+            "feasible() diverged at step {} on {:?}",
+            step,
+            &model
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Random push / `try_push` / undo episodes on both kinds, in
+    /// incremental and oracle mode: every probe answers the engine's
+    /// verdict, a failed one keeps nothing, and a kept one leaves a state
+    /// whose later verdicts and undos stay in lockstep with the engine.
+    #[test]
+    fn try_push_matches_the_engine(
+        now in lattice(0..64),
+        steps in prop::collection::vec(probe_step(), 1..48),
+        kind in prop_oneof![Just(ResourceKind::Cpu), Just(ResourceKind::Gpu)],
+        oracle in prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+    ) {
+        run_probe_differential(kind, now, oracle, &steps)?;
+    }
+}

@@ -7,6 +7,13 @@
 //! incremental verdict must equal a from-scratch engine run over the same
 //! jobs (and, on a subsample of steps, the scan-based reference oracle).
 //!
+//! Every push is also probed on a clone with `try_push`: its answer must be
+//! the push's verdict, a failed probe must leave the clone's jobs, length,
+//! future flag and verdict as they were, and a kept probe must leave them
+//! as the push did. Every other kept probe then *replaces* the timeline,
+//! so the rest of the episode — later probes, verdicts and undos — runs on
+//! the state `try_push` built, at its recorded row indices.
+//!
 //! Every time lies on a 1/8 lattice, so all sums are exact and the verdicts
 //! must agree bit for bit. Dense jobs take one of four deadlines, so
 //! `(deadline, push order)` ties occur at every depth and every insert and remove lands
@@ -44,6 +51,8 @@ struct Episode {
     rng: StdRng,
     next_key: u64,
     checks: usize,
+    /// Probes `try_push` kept; the odd ones replace the timeline.
+    kept_probes: usize,
 }
 
 impl Episode {
@@ -58,6 +67,7 @@ impl Episode {
             rng: StdRng::seed_from_u64(seed),
             next_key: 0,
             checks: 0,
+            kept_probes: 0,
         }
     }
 
@@ -121,7 +131,37 @@ impl Episode {
     }
 
     fn push(&mut self, job: PlannedJob) -> bool {
+        let mut probed = self.timeline.clone();
+        let kept = probed.try_push(job);
         let verdict = self.timeline.push(job).is_feasible();
+        assert_eq!(
+            kept,
+            verdict,
+            "{:?} try_push disagrees with push at depth {}",
+            self.kind,
+            self.model.len()
+        );
+        if kept {
+            assert_eq!(probed.jobs(), self.timeline.jobs());
+            assert_eq!(probed.len(), self.timeline.len());
+            assert_eq!(probed.has_future(), self.timeline.has_future());
+            assert_eq!(probed.feasible(), verdict);
+            self.kept_probes += 1;
+            if self.kept_probes % 2 == 1 {
+                self.timeline = probed;
+            }
+        } else {
+            assert_eq!(probed.jobs(), &self.model[..], "a failed probe kept a job");
+            assert_eq!(probed.len(), self.model.len());
+            assert_eq!(probed.has_future(), self.has_future());
+            let before = is_schedulable_with(self.kind, self.now, &self.model, &mut self.scratch);
+            assert_eq!(
+                probed.feasible(),
+                before,
+                "a failed probe changed the verdict at depth {}",
+                self.model.len()
+            );
+        }
         self.model.push(job);
         self.check(verdict);
         verdict
