@@ -26,10 +26,23 @@
 //! the injected-incumbent bound collapses that whole walk. Decisions are
 //! identical either way (`warmstart_differential.rs`); only the time
 //! differs.
+//!
+//! A second series, `milp_lt_budget`, runs the sweeps' budgeted exact
+//! manager (`ExactRm::with_node_budget(25_000)`) over fig2's LT
+//! prediction-off cell (40 calibrated LT traces × 200 requests, seed 1, the
+//! paper's 6 resources) and records the search's deterministic work: the
+//! decides, nodes per decide, and the share of decides admitted by a search
+//! whose `Decision::nodes` reached the budget. Without a phantom the
+//! ladder's one rung is the whole search, and a rejection reports 0 nodes.
+//! Its times are wall ns per request of the cell's simulation (decides
+//! and all), defaults against the cold/unpresolved baseline at the same
+//! budget.
 
-use rtrm_core::{Activation, ExactRm, JobView, ResourceManager, TimelinePool};
+use rtrm_bench::{workload, Group, Scale};
+use rtrm_core::{Activation, Decision, ExactRm, JobView, ResourceManager, TimelinePool};
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
+use rtrm_sim::{SimConfig, Simulator};
 
 /// The resource-count sweep: the scaling axis of `BENCH_platform.json`.
 const RESOURCES: [usize; 3] = [32, 128, 512];
@@ -103,6 +116,72 @@ fn fixture(m: usize) -> (Vec<JobView>, JobView, Vec<JobView>) {
     (active, arriving, predicted)
 }
 
+/// The sweeps' exact-manager budget.
+const BUDGET: u64 = 25_000;
+
+/// Wraps a manager and tallies its decisions: count, nodes, and admitted
+/// decisions whose search reached [`BUDGET`].
+struct Tally<M> {
+    inner: M,
+    decides: u64,
+    nodes: u64,
+    cut: u64,
+}
+
+impl<M> Tally<M> {
+    fn record(&mut self, decision: Decision) -> Decision {
+        self.decides += 1;
+        self.nodes += decision.nodes;
+        if decision.admitted && decision.nodes >= BUDGET {
+            self.cut += 1;
+        }
+        decision
+    }
+}
+
+impl<M: ResourceManager> ResourceManager for Tally<M> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, activation: &Activation<'_>) -> Decision {
+        let decision = self.inner.decide(activation);
+        self.record(decision)
+    }
+
+    fn decide_with_pool(
+        &mut self,
+        activation: &Activation<'_>,
+        pool: &mut TimelinePool,
+    ) -> Decision {
+        let decision = self.inner.decide_with_pool(activation, pool);
+        self.record(decision)
+    }
+}
+
+/// Runs `manager` over fig2's LT prediction-off cell; returns the tally and
+/// the run's wall nanoseconds.
+fn lt_cell(manager: ExactRm) -> (Tally<ExactRm>, f64) {
+    let scale = Scale {
+        traces: 40,
+        trace_len: 200,
+        seed: 1,
+    };
+    let w = workload(&[Group::Lt], scale);
+    let sim = Simulator::new(&w.platform, &w.catalog, SimConfig::default());
+    let mut tally = Tally {
+        inner: manager,
+        decides: 0,
+        nodes: 0,
+        cut: 0,
+    };
+    let start = std::time::Instant::now();
+    for trace in &w.traces[0].1 {
+        std::hint::black_box(sim.run(trace, &mut tally, None));
+    }
+    (tally, start.elapsed().as_nanos() as f64)
+}
+
 /// Mean ns per call over a self-calibrated iteration count.
 fn measure<R>(mut f: impl FnMut() -> R) -> f64 {
     let warmup = std::time::Instant::now();
@@ -160,6 +239,36 @@ fn main() {
         let baseline_ns = measure(|| cold.decide_with_pool(&activation, &mut cold_pool));
         push_row("milp_ladder_decide", m, baseline_ns, warm_ns);
     }
+
+    // The budget-bound LT cell: deterministic search work of the defaults,
+    // and ns per request against the cold/unpresolved baseline.
+    let (warm, warm_total) = lt_cell(ExactRm::with_node_budget(BUDGET));
+    let (cold, cold_total) = lt_cell(ExactRm {
+        warm_start: false,
+        presolve: false,
+        ..ExactRm::with_node_budget(BUDGET)
+    });
+    assert_eq!(warm.decides, cold.decides, "both runs see every request");
+    let decides = warm.decides as f64;
+    let (warm_ns, baseline_ns) = (warm_total / decides, cold_total / decides);
+    let nodes_per_decide = warm.nodes as f64 / decides;
+    let budget_cut_share = warm.cut as f64 / decides;
+    let speedup = baseline_ns / warm_ns;
+    println!(
+        "milp scale: series=milp_lt_budget decides={} nodes/decide={nodes_per_decide:.1} \
+         budget-cut admits={} ({budget_cut_share:.4}) cold={baseline_ns:.0}ns \
+         warm={warm_ns:.0}ns speedup={speedup:.2}x",
+        warm.decides, warm.cut
+    );
+    rows.push(format!(
+        "    {{\"series\": \"milp_lt_budget\", \"depth\": {}, \"decides\": {}, \
+         \"nodes_per_decide\": {nodes_per_decide:.1}, \"budget_cut_admits\": {}, \
+         \"budget_cut_share\": {budget_cut_share:.4}, \"baseline_ns\": {baseline_ns:.1}, \
+         \"warm_ns\": {warm_ns:.1}, \"speedup\": {speedup:.2}}}",
+        Platform::paper_default().len(),
+        warm.decides,
+        warm.cut
+    ));
 
     let json = format!(
         "{{\n  \"bench\": \"milp_scale\",\n  \"units\": \"ns_per_call\",\n  \

@@ -183,10 +183,10 @@ impl Policy {
     fn build(self) -> Box<dyn ResourceManager + Send> {
         match self {
             // Anytime cut-off keeps pathological activations bounded, but
-            // it binds on LT: in fig2's LT prediction-off cell 4 104 of
-            // 9 109 searches stop at the budget (EXPERIMENTS.md F2), so
-            // that column is anytime, not exact (ROADMAP, "Make the exact
-            // column exact on LT").
+            // it binds on LT: in fig2's LT prediction-off cell 1 370 of
+            // 8 000 searches stop at the budget, 928 of them without a plan
+            // (EXPERIMENTS.md F2), so that column is anytime, not exact
+            // (ROADMAP, "Make the exact column exact on LT").
             Policy::Milp => Box::new(ExactRm::with_node_budget(25_000)),
             Policy::Heuristic => Box::new(HeuristicRm::new()),
         }

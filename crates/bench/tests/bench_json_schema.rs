@@ -469,7 +469,11 @@ fn bench_platform_json_schema_is_current() {
 /// (`milp_scale` bin). The depth column is the resource count; the
 /// acceptance bar is a >= 3x ladder-decide speedup at 128 resources and
 /// beyond, warm-started + presolved defaults vs the cold/unpresolved
-/// baseline on the contended pair fixture.
+/// baseline on the contended pair fixture. The `milp_lt_budget` row runs
+/// the sweeps' 25 000-node exact manager over fig2's LT prediction-off
+/// cell; its bar is on a deterministic count: at most a tenth of the
+/// decides admit from a search the budget cut (0.37 before the search
+/// priced GPU time in its bound).
 #[test]
 fn bench_milp_json_schema_is_current() {
     let doc = load("BENCH_milp.json");
@@ -479,10 +483,40 @@ fn bench_milp_json_schema_is_current() {
             .get("series")
             .and_then(Json::as_str)
             .expect("row series");
-        assert_eq!(s, "milp_ladder_decide", "unknown series");
+        assert!(
+            matches!(s, "milp_ladder_decide" | "milp_lt_budget"),
+            "unknown series {s}"
+        );
         assert!(row.get("baseline_ns").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(row.get("warm_ns").and_then(Json::as_f64).unwrap() > 0.0);
     });
+    let lt = doc
+        .get("results")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .find(|row| row.get("series").and_then(Json::as_str) == Some("milp_lt_budget"))
+        .expect("missing series milp_lt_budget");
+    let field = |name: &str| {
+        lt.get(name)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("milp_lt_budget row lacks {name}"))
+    };
+    let decides = field("decides");
+    assert_eq!(
+        decides, 8000.0,
+        "fig2's LT cell is 40 traces x 200 requests"
+    );
+    assert!(field("nodes_per_decide") > 0.0);
+    let share = field("budget_cut_share");
+    assert!(
+        (share - field("budget_cut_admits") / decides).abs() < 1e-4,
+        "budget_cut_share is budget_cut_admits per decide"
+    );
+    assert!(
+        share <= 0.1,
+        "recorded LT budget-cut share regressed above 0.1: {share}"
+    );
     for row in doc.get("results").and_then(Json::as_array).unwrap() {
         series.push((
             row.get("series").and_then(Json::as_str).unwrap().to_owned(),

@@ -6,7 +6,7 @@ use rtrm_platform::{Energy, Platform, PlatformIndex, ResourceId, ResourceKind, T
 use rtrm_sched::{simulate_into, EdfScratch, EdfTimeline, JobKey, JobOutcome, PlannedJob};
 
 use crate::cost::Candidate;
-use crate::exact::Lookahead;
+use crate::exact::{GpuPrice, Lookahead};
 use crate::prune::{CandidateTable, PruneStats};
 use crate::view::JobView;
 
@@ -243,6 +243,8 @@ pub struct TimelinePool {
     seed_table: CandidateTable,
     /// Recycled per-rung look-ahead of the exact search's blocking cut.
     pub(crate) lookahead: Lookahead,
+    /// Recycled buffers of the exact search's capacity bound.
+    pub(crate) price: GpuPrice,
 }
 
 impl TimelinePool {

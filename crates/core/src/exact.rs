@@ -10,8 +10,23 @@
 //!
 //! Pruning: candidates are tried cheapest-energy first; a node is cut when
 //! its accumulated energy plus the sum of every unassigned task's cheapest
-//! candidate can no longer beat the incumbent. A placement is cut when its
-//! resource queue fails [`PlanBuilder::try_place_or_defer`]: the exact
+//! candidate can no longer beat the incumbent. That sum ignores that the
+//! GPU, the cheapest resource for nearly every type, fits only a few of the
+//! jobs, so a second, Lagrangian bound prices non-preemptable time
+//! ([`GpuPrice`]): for one deadline level `d*` and one multiplier `λ ≥ 0`,
+//! every non-preemptable candidate of a job due by `d*` costs `λ·exec`
+//! extra, and `λ·G·(d* − now + ε)` is credited back, `G` being the number
+//! of non-preemptable resources. Jobs due by `d*` all run inside
+//! `[now, d* + ε]`, so their non-preemptable work fits in that credit and
+//! the bound holds for every `λ ≥ 0`; `λ` and `d*` only decide how tight it
+//! is. They are chosen once per rung by a breakpoint sweep (the fractional
+//! knapsack of which jobs due by `d*` get GPU time), lazily, once the
+//! search holds an incumbent and has spent more nodes than the rung has
+//! jobs. The candidate order is not the charged order, so a priced cut
+//! skips one candidate rather than the rest of the row.
+//!
+//! A placement is cut when its resource queue fails
+//! [`PlanBuilder::try_place_or_defer`]: the exact
 //! verdict on preemptable and dense queues, and the timeline's
 //! processor-demand bound ([`rtrm_sched::EdfTimeline::demand_feasible`]) on
 //! a GPU queue holding a future release — on the paper platform, almost
@@ -38,7 +53,7 @@
 
 use std::time::{Duration, Instant};
 
-use rtrm_platform::{Energy, PlatformIndex, Time};
+use rtrm_platform::{Energy, Platform, PlatformIndex, Time, TIME_EPSILON};
 
 use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
 use crate::cost::{candidates, Candidate};
@@ -218,6 +233,8 @@ impl ExactRm {
         if self.presolve {
             drop_dominated_rows(&mut cand, activation.platform.len());
         }
+        // The rows are this rung's own, so are the capacity bound's lines.
+        pool.price.lines.clear();
         let seed = if self.warm_start {
             let mut warm_pool = TimelinePool::new();
             warm_pool.set_oracle(self.oracle_feasibility);
@@ -282,6 +299,11 @@ impl ExactRm {
         // reused buffers (empty unless exactly one job is released later).
         let mut lookahead = std::mem::take(&mut pool.lookahead);
         lookahead.rebuild(activation, jobs, cand, &order);
+        // Capacity bound: built lazily by the search, once per rung (a cold
+        // rerun keeps what the warm run built).
+        let mut price = std::mem::take(&mut pool.price);
+        price.built = false;
+        price.active = false;
 
         // Warm start: the seed is the incumbent. Its cost is re-summed in
         // `order` position order — the same left-to-right fold the DFS uses
@@ -302,11 +324,14 @@ impl ExactRm {
         let (nodes, best, timed_out) = loop {
             let injected = warm.is_some();
             let mut search = Search {
+                now: activation.now,
+                platform: activation.platform,
                 jobs,
                 cand,
                 order: &order,
                 suffix_min: &suffix_min,
                 lookahead: &lookahead,
+                price: &mut price,
                 plan: PlanBuilder::new(activation, &mut *pool),
                 chosen: vec![None; jobs.len()],
                 best: warm.take(),
@@ -345,6 +370,7 @@ impl ExactRm {
             break (rerun_nodes + search.nodes, search.best, search.timed_out);
         };
         pool.lookahead = lookahead;
+        pool.price = price;
         let Some((objective, chosen)) = best else {
             return Attempt {
                 plan: None,
@@ -553,12 +579,242 @@ impl Lookahead {
     }
 }
 
+/// Relative float margin of the capacity bound, taken of its energy
+/// terms' magnitude plus `λ·G` times the absolute times it reads (`d*`,
+/// `now`). Sums of a few dozen such terms round by less than `1e-14` of
+/// their magnitude; the margin is a hundred times that.
+const PRICE_MARGIN: f64 = 1e-12;
+
+/// One job's selection tuple for choosing the capacity bound's multiplier:
+/// its cheapest preemptable energy and its cheapest non-preemptable
+/// `(energy, exec)` line, infinite where the job has no such candidate.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    cpu: Energy,
+    gpu: Energy,
+    gpu_exec: Time,
+}
+
+/// The capacity bound of one rung: a Lagrangian price `λ` on the
+/// non-preemptable time of the jobs due by one deadline level `d*`.
+///
+/// On every feasible leaf, the jobs due by `d*` that run on one of the
+/// platform's `G` non-preemptable resources start at or after `now` and
+/// finish by `d* + ε`, so their execs sum to at most `G·(d* − now + ε)`.
+/// Charging each such candidate `λ·exec` and crediting that capacity back
+/// leaves a lower bound on every feasible leaf's energy for any `λ ≥ 0`:
+/// `cost + Σ_unassigned min_c (e_c + charge_c) + charged − credit`, where
+/// `charged` sums the charges of the path's own choices.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GpuPrice {
+    /// Per job of the decide, its selection tuple; a prefix cache that the
+    /// decide clears and the rungs' builds extend.
+    lines: Vec<Line>,
+    /// Per resource of the decide's platform: non-preemptable.
+    gpu: Vec<bool>,
+    /// `G`: how many of them there are.
+    gpus: usize,
+    /// The bound was built for this rung (whether or not it prices).
+    built: bool,
+    /// The bound prices (`λ > 0`); otherwise it equals the plain one.
+    active: bool,
+    /// `λ`, energy per unit of non-preemptable time.
+    lambda: Energy,
+    /// Per job: due by `d*`.
+    due: Vec<bool>,
+    /// `λ·G·(d* − now + ε)`.
+    capacity: Energy,
+    /// The float margin subtracted from every priced bound.
+    margin: Energy,
+    /// Per depth: `Σ min_c (e_c + charge_c)` over the jobs at or below it.
+    suffix: Vec<Energy>,
+    /// Per depth: the charges of the current path's choices above it.
+    charged: Vec<Energy>,
+    /// Sweep scratch: job indices in deadline order, and `(savings per
+    /// unit of GPU time, GPU exec, savings)` in decreasing ratio.
+    by_deadline: Vec<usize>,
+    items: Vec<(f64, f64, f64)>,
+}
+
+impl GpuPrice {
+    /// The extra charge of placing job `j` on candidate `c`.
+    fn charge(&self, j: usize, c: &Candidate) -> Energy {
+        if self.due[j] && self.gpu[c.resource.index()] {
+            self.lambda * c.exec.value()
+        } else {
+            Energy::ZERO
+        }
+    }
+
+    /// The priced bound at depth `pos` for a candidate of energy `energy`
+    /// and charge `charge`, after a path of energy `cost`: never above the
+    /// energy of a feasible leaf below.
+    fn bound(&self, cost: Energy, energy: Energy, pos: usize, charge: Energy) -> Energy {
+        cost + energy + self.suffix[pos + 1]
+            - (self.capacity - self.charged[pos] - charge)
+            - self.margin
+    }
+
+    /// Records the charge of the choice made at depth `pos`.
+    fn descend(&mut self, pos: usize, charge: Energy) {
+        self.charged[pos + 1] = self.charged[pos] + charge;
+    }
+
+    /// Builds the bound for one rung at search depth `pos`: chooses `d*`
+    /// and `λ`, fills the charged suffix, and recomputes the charges along
+    /// the current path (`chosen` at `order[..pos]`).
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        &mut self,
+        now: Time,
+        platform: &Platform,
+        jobs: &[JobView],
+        cand: &[Vec<Candidate>],
+        order: &[usize],
+        chosen: &[Option<Candidate>],
+        pos: usize,
+    ) {
+        self.built = true;
+        self.active = false;
+        // The decide's first build also reads its platform's GPUs.
+        if self.lines.is_empty() {
+            self.gpu.clear();
+            self.gpu
+                .extend(platform.resources().map(|r| !r.kind().is_preemptable()));
+            self.gpus = self.gpu.iter().filter(|&&g| g).count();
+        }
+        for row in cand.iter().skip(self.lines.len()) {
+            let mut line = Line {
+                cpu: Energy::infinity(),
+                gpu: Energy::infinity(),
+                gpu_exec: Time::ZERO,
+            };
+            // Rows are energy-sorted: the first line of each kind is its
+            // cheapest.
+            for c in row {
+                if !self.gpu[c.resource.index()] {
+                    line.cpu = line.cpu.min(c.energy);
+                } else if c.energy < line.gpu {
+                    line.gpu = c.energy;
+                    line.gpu_exec = c.exec;
+                }
+                if line.cpu.is_finite() && line.gpu.is_finite() {
+                    break;
+                }
+            }
+            self.lines.push(line);
+        }
+        let Some((lambda, level)) = self.choose(now, jobs) else {
+            return;
+        };
+        let n = jobs.len();
+        self.lambda = lambda;
+        self.due.clear();
+        self.due
+            .extend(jobs.iter().map(|job| job.deadline <= level));
+        self.suffix.clear();
+        self.suffix.resize(n + 1, Energy::ZERO);
+        for p in (0..n).rev() {
+            let j = order[p];
+            // Charges are non-negative and the row is energy-sorted, so no
+            // candidate past the first costlier than the minimum so far
+            // can lower it.
+            let mut cheapest = Energy::infinity();
+            for c in &cand[j] {
+                if c.energy >= cheapest {
+                    break;
+                }
+                cheapest = cheapest.min(c.energy + self.charge(j, c));
+            }
+            self.suffix[p] = self.suffix[p + 1] + cheapest;
+        }
+        let gpus = self.gpus as f64;
+        self.capacity = lambda * (gpus * (level - now + Time::new(TIME_EPSILON)).value());
+        self.margin = (self.suffix[0]
+            + lambda * (gpus * (level.value().abs() + now.value().abs())))
+            * PRICE_MARGIN;
+        self.charged.clear();
+        self.charged.resize(n + 1, Energy::ZERO);
+        for (p, &j) in order[..pos].iter().enumerate() {
+            let c = chosen[j].expect("the path above the build is chosen");
+            self.charged[p + 1] = self.charged[p] + self.charge(j, &c);
+        }
+        self.active = true;
+    }
+
+    /// The breakpoint sweep: over the rung's deadline levels `d`, the `λ`
+    /// that maximizes the selection tuples' Lagrangian gain over the plain
+    /// bound. Jobs with only non-preemptable lines take capacity first;
+    /// the rest are the fractional knapsack's items, valued at what the GPU
+    /// saves them, and the maximizing `λ` is the savings ratio of the item
+    /// that overflows the capacity. Returns `(λ, d)` of the largest
+    /// positive gain, `None` when no level gains.
+    ///
+    /// A level that adds no job with GPU lines only has more room for the
+    /// same items, so its gain is no larger and it is skipped, as is one
+    /// whose items all fit.
+    fn choose(&mut self, now: Time, jobs: &[JobView]) -> Option<(Energy, Time)> {
+        self.by_deadline.clear();
+        self.by_deadline.extend(0..jobs.len());
+        self.by_deadline.sort_unstable_by_key(|&j| jobs[j].deadline);
+        self.items.clear();
+        let gpus = self.gpus as f64;
+        let (mut mandatory, mut total, mut savings) = (0.0, 0.0, 0.0);
+        let mut best: Option<(f64, f64, Time)> = None;
+        let mut i = 0;
+        while i < self.by_deadline.len() {
+            let level = jobs[self.by_deadline[i]].deadline;
+            let mut grew = false;
+            while i < self.by_deadline.len() && jobs[self.by_deadline[i]].deadline == level {
+                let line = self.lines[self.by_deadline[i]];
+                i += 1;
+                let exec = line.gpu_exec.value();
+                if !line.gpu.is_finite() || exec <= 0.0 {
+                    continue;
+                }
+                if !line.cpu.is_finite() {
+                    mandatory += exec;
+                    grew = true;
+                } else if line.gpu < line.cpu {
+                    let saving = (line.cpu - line.gpu).value();
+                    let ratio = saving / exec;
+                    let at = self.items.partition_point(|item| item.0 >= ratio);
+                    self.items.insert(at, (ratio, exec, saving));
+                    total += exec;
+                    savings += saving;
+                    grew = true;
+                }
+            }
+            let room = (level.value() - now.value() + TIME_EPSILON) * gpus - mandatory;
+            if !grew || room < 0.0 || total <= room {
+                continue;
+            }
+            let (mut used, mut rest) = (0.0, savings);
+            for &(ratio, exec, saving) in &self.items {
+                if used + exec > room {
+                    let gain = rest - ratio * (room - used);
+                    if best.is_none_or(|(top, _, _)| gain > top) {
+                        best = Some((gain, ratio, level));
+                    }
+                    break;
+                }
+                used += exec;
+                rest -= saving;
+            }
+        }
+        best.map(|(_, lambda, level)| (Energy::new(lambda), level))
+    }
+}
+
 struct Search<'a, 'b> {
+    now: Time,
+    platform: &'a Platform,
     jobs: &'a [JobView],
     cand: &'a [Vec<Candidate>],
     order: &'a [usize],
     suffix_min: &'a [Energy],
     lookahead: &'a Lookahead,
+    price: &'a mut GpuPrice,
     plan: PlanBuilder<'b>,
     chosen: Vec<Option<Candidate>>,
     best: Option<(Energy, Vec<Option<Candidate>>)>,
@@ -574,6 +830,18 @@ struct Search<'a, 'b> {
 }
 
 impl Search<'_, '_> {
+    /// Whether a lower bound cuts against the incumbent: strictly above an
+    /// injected one (its cost is feasible but unproven, and cutting an
+    /// equally cheap subtree could hide a leaf the cold search would have
+    /// returned), at or above a search-discovered one.
+    fn cuts(&self, bound: Energy) -> bool {
+        match self.best.as_ref() {
+            None => false,
+            Some((b, _)) if self.injected => bound > *b,
+            Some((b, _)) => bound >= *b,
+        }
+    }
+
     /// The blocking cut, after a placement that leaves `depth` jobs
     /// assigned: whether the non-preemptable queue holding the rung's one
     /// future release misses a deadline however the rest are placed. Any
@@ -617,27 +885,43 @@ impl Search<'_, '_> {
             }
             return;
         }
+        // The capacity bound pays for its build only on searches that go
+        // on past their first dive with an incumbent to cut against.
+        if !self.price.built && self.best.is_some() && self.nodes > self.order.len() as u64 {
+            self.price.build(
+                self.now,
+                self.platform,
+                self.jobs,
+                self.cand,
+                self.order,
+                &self.chosen,
+                pos,
+            );
+        }
         let j = self.order[pos];
         for ci in 0..self.cand[j].len() {
             let c = self.cand[j][ci];
             // Candidates are energy-sorted: once the bound fails it fails
-            // for every later candidate of this job. Against an injected
-            // incumbent the test is strict (`>`): its cost is feasible but
-            // unproven, and cutting an equally cheap subtree could hide a
-            // leaf the cold search would have returned.
-            let bound = cost + c.energy + self.suffix_min[pos + 1];
-            let prune = match self.best.as_ref() {
-                None => false,
-                Some((b, _)) if self.injected => bound > *b,
-                Some((b, _)) => bound >= *b,
-            };
-            if prune {
+            // for every later candidate of this job.
+            if self.cuts(cost + c.energy + self.suffix_min[pos + 1]) {
                 break;
+            }
+            // The priced bound is not monotone along the row: a later
+            // candidate may carry no charge.
+            let mut charge = Energy::ZERO;
+            if self.price.active {
+                charge = self.price.charge(j, &c);
+                if self.cuts(self.price.bound(cost, c.energy, pos, charge)) {
+                    continue;
+                }
             }
             self.nodes += 1;
             if self.plan.try_place_or_defer(&self.jobs[j], &c) {
                 self.chosen[j] = Some(c);
                 if !self.blocked(pos + 1) {
+                    if self.price.active {
+                        self.price.descend(pos, charge);
+                    }
                     self.dfs(pos + 1, cost + c.energy);
                 }
                 self.chosen[j] = None;
@@ -697,6 +981,9 @@ impl ResourceManager for ExactRm {
             drop_dominated_rows(&mut cand_all, activation.platform.len());
         }
         let n_real = activation.active.len() + 1;
+        // Every rung's rows are a prefix of `cand_all`, so the capacity
+        // bound's per-job lines are taken once per decide.
+        pool.price.lines.clear();
         let decision = decide_with_fallback_tracked(
             activation,
             &mut (&mut *pool, &mut seeds),
@@ -738,5 +1025,309 @@ impl ResourceManager for ExactRm {
 
     fn set_wall_clock(&mut self, budget: Option<f64>) {
         self.wall_clock_budget = budget;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::view::Placement;
+    use proptest::prelude::*;
+    use rtrm_platform::{ResourceKind, TaskCatalog, TaskType, TaskTypeId};
+    use rtrm_sched::JobKey;
+
+    /// Deadline offsets around the 1/8 lattice: on it, within epsilon
+    /// before it (a queue that fills `d − now` still meets it), a full
+    /// epsilon before it (a queue that fills `d − now + ε`, the capacity
+    /// itself, meets it or not by a rounding), and just after it.
+    const DEADLINE_EPS: [f64; 4] = [
+        0.0,
+        -0.75 * TIME_EPSILON,
+        -TIME_EPSILON,
+        0.25 * TIME_EPSILON,
+    ];
+
+    fn lattice(steps: std::ops::Range<u32>) -> impl Strategy<Value = f64> {
+        steps.prop_map(|i| f64::from(i) * 0.125)
+    }
+
+    /// One job: its CPU `(exec, energy)` (`None`: GPU only), its GPU
+    /// `(exec, energy)`, and its deadline offset from its release with an
+    /// epsilon index.
+    type JobSpec = (Option<(f64, f64)>, (f64, f64), f64, usize);
+
+    /// GPU lines mostly cheaper than CPU ones, and relative deadlines a
+    /// lattice slack after the GPU exec, so the GPU is contended.
+    fn job_spec() -> impl Strategy<Value = JobSpec> {
+        (
+            (0u8..5, lattice(4..33), lattice(8..49)),
+            (lattice(1..17), lattice(1..17)),
+            lattice(0..25),
+            0usize..DEADLINE_EPS.len(),
+        )
+            .prop_map(|((kind, exec, energy), gpu, slack, eps)| {
+                // One job in five runs on the GPU only.
+                (
+                    (kind > 0).then_some((exec, energy)),
+                    gpu,
+                    gpu.0 + slack,
+                    eps,
+                )
+            })
+    }
+
+    /// Jobs contending for one GPU: the first may be running there
+    /// (`fraction` eighths of its work left), and a phantom may be released
+    /// on the 1/8 lattice after `now`.
+    #[derive(Debug, Clone)]
+    struct PriceCase {
+        cpus: usize,
+        now: f64,
+        jobs: Vec<JobSpec>,
+        running: Option<u32>,
+        phantom: Option<(f64, JobSpec)>,
+        keys: Vec<u32>,
+    }
+
+    fn price_case() -> impl Strategy<Value = PriceCase> {
+        (
+            1usize..3,
+            lattice(0..17),
+            prop::collection::vec(job_spec(), 2..6),
+            prop::option::of(1u32..9),
+            prop::option::of((lattice(1..25), job_spec())),
+            prop::collection::vec(0u32..1000, 6),
+        )
+            .prop_map(|(cpus, now, jobs, running, phantom, keys)| PriceCase {
+                cpus,
+                now,
+                jobs,
+                running,
+                phantom,
+                keys,
+            })
+    }
+
+    /// The case's platform (its CPUs, then one GPU), one task type per job,
+    /// and the jobs, phantom last.
+    fn world(case: &PriceCase) -> (Platform, TaskCatalog, Vec<JobView>) {
+        let mut b = Platform::builder();
+        b.cpus(case.cpus).gpu("g");
+        let platform = b.build();
+        let gpu = platform.ids_of_kind(ResourceKind::Gpu).next().unwrap();
+        let specs: Vec<(f64, JobSpec)> = case
+            .jobs
+            .iter()
+            .map(|&spec| (case.now, spec))
+            .chain(
+                case.phantom
+                    .map(|(release, spec)| (case.now + release, spec)),
+            )
+            .collect();
+        let catalog = TaskCatalog::new(
+            specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, (cpu, (gpu_exec, gpu_energy), _, _)))| {
+                    let mut ty = TaskType::builder(i, &platform);
+                    ty.profile(gpu, Time::new(gpu_exec), Energy::new(gpu_energy))
+                        .uniform_migration(Time::new(0.125), Energy::new(0.125));
+                    if let Some((exec, energy)) = cpu {
+                        for id in platform.ids_of_kind(ResourceKind::Cpu) {
+                            ty.profile(id, Time::new(exec), Energy::new(energy));
+                        }
+                    }
+                    ty.build()
+                })
+                .collect(),
+        );
+        let jobs = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(release, (_, _, deadline, eps)))| {
+                let mut job = JobView::fresh(
+                    JobKey(i as u64),
+                    TaskTypeId::new(i),
+                    Time::new(release),
+                    Time::new(release + deadline + DEADLINE_EPS[eps]),
+                );
+                if i == 0 {
+                    job.placement = case
+                        .running
+                        .map(|left| Placement::new(gpu, f64::from(left) / 8.0, true));
+                }
+                job
+            })
+            .collect();
+        (platform, catalog, jobs)
+    }
+
+    /// An exhaustive walk of one rung's tree in the search's branch order.
+    struct Walk<'a> {
+        activation: &'a Activation<'a>,
+        jobs: &'a [JobView],
+        cand: &'a [Vec<Candidate>],
+        order: &'a [usize],
+        price: GpuPrice,
+        chosen: Vec<Option<Candidate>>,
+        pool: TimelinePool,
+    }
+
+    impl Walk<'_> {
+        /// The cheapest feasible leaf below depth `pos` after a path of
+        /// energy `cost` (the search's own left fold), asserting at every
+        /// candidate that the priced bound stays at or below the cheapest
+        /// feasible leaf under it.
+        fn below(&mut self, pos: usize, cost: Energy) -> Result<Option<Energy>, TestCaseError> {
+            if pos == self.order.len() {
+                let mut plan = PlanBuilder::new(self.activation, &mut self.pool);
+                for (job, c) in self.jobs.iter().zip(&self.chosen) {
+                    plan.place(job, &c.unwrap());
+                }
+                return Ok(plan.all_schedulable().then_some(cost));
+            }
+            // A build here (the search's lazy build) recomputes the path's
+            // charges; they match what the descents recorded.
+            let descended = self.price.charged[pos];
+            self.price.build(
+                self.activation.now,
+                self.activation.platform,
+                self.jobs,
+                self.cand,
+                self.order,
+                &self.chosen,
+                pos,
+            );
+            prop_assert_eq!(self.price.charged[pos], descended);
+            let j = self.order[pos];
+            let mut best: Option<Energy> = None;
+            for ci in 0..self.cand[j].len() {
+                let c = self.cand[j][ci];
+                let charge = self.price.charge(j, &c);
+                let bound = self.price.bound(cost, c.energy, pos, charge);
+                self.chosen[j] = Some(c);
+                self.price.descend(pos, charge);
+                let leaf = self.below(pos + 1, cost + c.energy)?;
+                self.chosen[j] = None;
+                if let Some(leaf) = leaf {
+                    prop_assert!(
+                        bound <= leaf,
+                        "priced bound {:?} above the subtree's optimum {:?} at depth {} \
+                         (λ {:?}, capacity {:?})",
+                        bound,
+                        leaf,
+                        pos,
+                        self.price.lambda,
+                        self.price.capacity
+                    );
+                    best = Some(best.map_or(leaf, |b| b.min(leaf)));
+                }
+            }
+            Ok(best)
+        }
+    }
+
+    /// Walks `jobs` exhaustively under the bound built at the root with
+    /// the branch order `keys`. When the bound prices, returns the optimum
+    /// and the root bound (no path, no charge).
+    fn walk_case(
+        activation: &Activation<'_>,
+        jobs: &[JobView],
+        keys: &[u32],
+    ) -> Result<Option<(Option<Energy>, Energy)>, TestCaseError> {
+        let cand: Vec<Vec<Candidate>> = jobs
+            .iter()
+            .map(|job| {
+                let mut row: Vec<Candidate> =
+                    candidates(job, activation.platform, activation.catalog, true)
+                        .into_iter()
+                        .filter(|c| c.exec <= job.time_left(activation.now))
+                        .collect();
+                row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
+                row
+            })
+            .collect();
+        if cand.iter().any(Vec::is_empty) {
+            return Ok(None);
+        }
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&j| (keys[j % keys.len()], j));
+        let mut walk = Walk {
+            activation,
+            jobs,
+            cand: &cand,
+            order: &order,
+            price: GpuPrice::default(),
+            chosen: vec![None; jobs.len()],
+            pool: TimelinePool::new(),
+        };
+        walk.price.build(
+            activation.now,
+            activation.platform,
+            jobs,
+            &cand,
+            &order,
+            &walk.chosen,
+            0,
+        );
+        if !walk.price.active {
+            return Ok(None);
+        }
+        let root = walk.price.suffix[0] - walk.price.capacity - walk.price.margin;
+        Ok(Some((walk.below(0, Energy::ZERO)?, root)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The capacity bound never exceeds the cheapest feasible leaf below
+        /// any node: on 2–6 jobs contending for one GPU, some GPU-only, the
+        /// first possibly running there (pinned), a phantom released on the
+        /// 1/8 lattice, and deadlines within epsilon of lattice points.
+        #[test]
+        fn gpu_price_bound_is_sound(case in price_case()) {
+            let (platform, catalog, jobs) = world(&case);
+            let n_real = case.jobs.len();
+            let activation = Activation {
+                now: Time::new(case.now),
+                platform: &platform,
+                catalog: &catalog,
+                active: &jobs[..n_real - 1],
+                arriving: jobs[n_real - 1],
+                predicted: &jobs[n_real..],
+            };
+            walk_case(&activation, &jobs, &case.keys)?;
+        }
+    }
+
+    /// Three jobs due by `2 − 0.75ε` that each save 2 on the GPU, which
+    /// fits two of them (the second finishes at 2, within epsilon): the
+    /// bound prices at 2 per unit of GPU time and reaches the optimum, 5,
+    /// to within `2ε`.
+    #[test]
+    fn gpu_price_reaches_the_optimum_on_a_tight_case() {
+        let case = PriceCase {
+            cpus: 1,
+            now: 0.0,
+            jobs: vec![(Some((1.875, 3.0)), (1.0, 1.0), 2.0, 1); 3],
+            running: None,
+            phantom: None,
+            keys: vec![0, 1, 2],
+        };
+        let (platform, catalog, jobs) = world(&case);
+        let activation = Activation {
+            now: Time::ZERO,
+            platform: &platform,
+            catalog: &catalog,
+            active: &jobs[..2],
+            arriving: jobs[2],
+            predicted: &[],
+        };
+        let (optimum, root) = walk_case(&activation, &jobs, &case.keys)
+            .unwrap()
+            .expect("the bound prices");
+        let five = Energy::new(5.0);
+        assert_eq!(optimum, Some(five));
+        assert!(root <= five && five - root < Energy::new(2.0 * TIME_EPSILON));
     }
 }

@@ -5,6 +5,8 @@
 //! energies and the makespan by their `f64` bits, the per-resource busy
 //! time, and the per-request task log (placements, restarts, completion
 //! times). The digests were recorded from the simulator and must not move.
+//! They include `rm_nodes`, so a change to the exact search's pruning moves
+//! the exact manager's digests even where its decisions stay put.
 //! The cases are chosen so that the ways `Simulator::advance` can replay an
 //! admitted plan wrongly each move some digest: a wrong horizon, ignored
 //! start gates, equal deadlines run out of admission order, or the release
@@ -246,9 +248,9 @@ fn calibrated_workloads_match_their_golden_digests() {
             0xe9b3_7c97_8d92_5d8f,
             0x2a6a_011e_dccf_6863,
             0xf4ba_8e2d_ba80_5c88,
-            0xa455_a8fc_d4ea_701d,
-            0xc8c9_d70f_021c_32b8,
-            0x748a_0f85_9d3b_251c,
+            0x954a_a9ea_b0a7_4733,
+            0x8086_1ad8_eab7_d3f6,
+            0x597c_2abe_5800_5749,
         ],
     );
     cases.extend(grid(
@@ -258,9 +260,9 @@ fn calibrated_workloads_match_their_golden_digests() {
             0xf0db_d0d5_278d_7c97,
             0xbe54_e2c5_5f10_5f71,
             0x41bd_50e8_ba32_eb5b,
-            0x95f1_1324_d401_d0e2,
-            0x6d2a_8588_4695_3e15,
-            0xea60_3d9a_0efc_11cc,
+            0x0a7a_3395_d89a_b807,
+            0x26f1_0eaa_72e4_ddc8,
+            0x45fd_e90d_6645_ca5a,
         ],
     ));
     check(&cases);
@@ -278,9 +280,9 @@ fn dvfs_world_matches_its_golden_digests() {
             0xb101_300b_58a3_7171,
             0x91a9_b59f_cd17_b4b3,
             0xe722_53dc_43ad_076d,
-            0xcd21_fcf0_68d1_f83f,
-            0x6e37_5550_4190_7553,
-            0x2789_31b8_5a52_39ad,
+            0x6cc3_9015_8f65_1f5c,
+            0x0b15_885e_94a1_7ec0,
+            0x7a28_2f97_2f9e_aff2,
         ],
     ));
 }
