@@ -1,7 +1,7 @@
 //! Activation-latency benches for the incremental EDF admission path: the
 //! managers' decide() with the persistent [`rtrm_sched::EdfTimeline`]
-//! against the pre-incremental memoized-engine baseline
-//! (`oracle_feasibility`), plus an end-to-end trace run of the same
+//! against the pre-incremental baseline that runs the engine for every
+//! verdict (`oracle_feasibility`), plus an end-to-end trace run of the same
 //! simulator under each feasibility mode. The sweep records
 //! `BENCH_activation.json` at the workspace root (see README,
 //! "Performance").
@@ -184,7 +184,8 @@ fn bench_activation_latency(c: &mut Criterion) {
         // future-released predicted task, so every rung of the fallback
         // ladder probes queues containing a future job. The incremental
         // mode answers those with the segmented demand-criterion sweep on
-        // the CPUs; the baseline routes them through the memoized engine.
+        // the CPUs and the release-merge walk on the GPU; the baseline runs
+        // the engine for each.
         let phantom = [JobView::fresh(
             JobKey(10_001),
             TaskTypeId::new(0),

@@ -203,9 +203,8 @@ fn bench_edf_sweep(c: &mut Criterion) {
     group.finish();
 
     /// Mean ns per with-phantom probe (push + verdict + undo) of a depth-`n`
-    /// dense timeline, incremental vs oracle mode. The phantom's exec varies
-    /// per probe so the oracle's exact-content memo cannot short-circuit the
-    /// engine run it is supposed to measure.
+    /// dense timeline, incremental vs oracle mode. The phantom's exec and
+    /// deadline vary per probe, as a placement search's candidates do.
     fn measure_phantom_probe(kind: rtrm_platform::ResourceKind, n: usize, oracle: bool) -> f64 {
         use rtrm_sched::EdfTimeline;
         // Start at 2.0 so the fixture's staggered releases (0..3) are all
@@ -302,8 +301,8 @@ fn bench_edf_sweep(c: &mut Criterion) {
             let speedup = reference_ns / event_ns;
             // The timeline's dense probe, then the with-phantom columns: its
             // verdict over a queue holding one future-released job (the
-            // segment sweep on CPUs, the single-release walk on GPUs) vs the
-            // memoized-engine oracle baseline over the same probes.
+            // segment sweep on CPUs, the release-merge walk on GPUs) vs the
+            // oracle baseline's engine run over the same probes.
             let timeline_dense_ns = measure_dense_probe(kind, n);
             let timeline_probe_fail_ns = measure_failed_probe(kind, n);
             let timeline_phantom_ns = measure_phantom_probe(kind, n, false);

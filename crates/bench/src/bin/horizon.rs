@@ -1,10 +1,13 @@
 //! Horizon-depth scaling bench for `decide()`: latency of a with-phantom
 //! decision as the admitted horizon grows from one phantom to eight, for
 //! both managers, with the no-phantom decision as the baseline. Asserts the
-//! ISSUE's fast-path invariant along the way: at every depth, every probe
-//! on a preemptable resource is answered by the incremental timelines —
-//! zero engine-fallback verdicts. Records `BENCH_horizon.json` at the
-//! workspace root (see README, "Performance"); run in release:
+//! fast-path invariant along the way: at every depth, every probe is
+//! answered by the incremental timelines, with zero engine verdicts across
+//! the pool. The fixture never puts two phantoms in one GPU queue; the
+//! GPU's multi-release walk is guarded by `tests/deep_timeline.rs` and
+//! `crates/core/tests/phantom_fastpath.rs` instead. Records
+//! `BENCH_horizon.json` at the workspace root (see README, "Performance");
+//! run in release:
 //!
 //! ```text
 //! cargo run --release -p rtrm-bench --bin horizon
@@ -110,16 +113,6 @@ fn measure<R>(mut f: impl FnMut() -> R) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Engine-fallback verdicts accumulated on *preemptable* timelines — the
-/// fast-path invariant says this stays zero no matter how deep the horizon.
-fn preemptable_engine_verdicts(pool: &TimelinePool) -> u64 {
-    pool.timelines()
-        .iter()
-        .filter(|tl| tl.kind().is_preemptable())
-        .map(rtrm_sched::EdfTimeline::engine_verdicts)
-        .sum()
-}
-
 fn main() {
     let (platform, catalog) = world();
     let mut rows = Vec::new();
@@ -177,10 +170,10 @@ fn main() {
             pool.ensure_index(&platform, &catalog);
             let mut manager = make();
             let decide_ns = measure(|| manager.decide_with_pool(&activation, &mut pool));
-            let verdicts = preemptable_engine_verdicts(&pool);
             assert_eq!(
-                verdicts, 0,
-                "{series} k={k}: a preemptable probe left the incremental fast path"
+                pool.engine_verdicts(),
+                0,
+                "{series} k={k}: a probe left the incremental fast path"
             );
             push_row(series, k, baseline_ns, decide_ns);
         }

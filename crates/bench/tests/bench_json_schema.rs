@@ -265,8 +265,8 @@ fn bench_edf_json_schema_is_current() {
                 .expect("row timeline_probe_fail_ns")
                 > 0.0
         );
-        // With-phantom columns: incremental timeline probe vs the memoized
-        // engine oracle over a queue holding one future-released job.
+        // With-phantom columns: incremental timeline probe vs the oracle's
+        // engine run over a queue holding one future-released job.
         assert!(
             row.get("timeline_phantom_ns")
                 .and_then(Json::as_f64)
@@ -288,7 +288,7 @@ fn bench_edf_json_schema_is_current() {
     });
     // At the acceptance depth the timeline must clearly beat re-running the
     // engine per probe on both kinds: the segment sweep on the preemptable
-    // one, the single-release walk on the non-preemptable one. At the
+    // one, the release-merge walk on the non-preemptable one. At the
     // depth the managers' queues reach, a dense probe must cost at most
     // half an engine run over the same queue, and a failed probe, which
     // moves no memory, less than a dense probe.
@@ -554,8 +554,9 @@ fn bench_milp_json_schema_is_current() {
 /// bin). The depth column is the number of admitted phantoms `k`, so it
 /// does not go through [`check_envelope`] (which pins depth 128): the
 /// acceptance points are k ∈ {1, 2, 4, 8} for the heuristic series, and
-/// every row must record `engine_verdicts: 0` — the ISSUE's invariant that
-/// deeper horizons stay on the preemptable fast path.
+/// every row must record `engine_verdicts: 0` — deeper horizons stay on
+/// the incremental fast path on every resource (the fixture never puts two
+/// phantoms in one GPU queue).
 #[test]
 fn bench_horizon_json_schema_is_current() {
     let doc = load("BENCH_horizon.json");
@@ -588,7 +589,7 @@ fn bench_horizon_json_schema_is_current() {
         assert_eq!(
             row.get("engine_verdicts").and_then(Json::as_f64),
             Some(0.0),
-            "{s} k={depth}: a preemptable probe left the incremental fast path"
+            "{s} k={depth}: a probe left the incremental fast path"
         );
         series.push((s.to_owned(), depth as u64));
     }

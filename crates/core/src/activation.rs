@@ -155,13 +155,13 @@ pub trait ResourceManager {
     fn decide(&mut self, activation: &Activation<'_>) -> Decision;
 
     /// Like [`decide`](ResourceManager::decide), but planning inside a
-    /// caller-held [`TimelinePool`] so timelines, scratch buffers, and
-    /// engine-fallback memo entries stay warm across activations (and across
-    /// traces, when the caller simulates a batch).
+    /// caller-held [`TimelinePool`] so timelines and scratch buffers stay
+    /// warm across activations (and across traces, when the caller
+    /// simulates a batch).
     ///
     /// The decision is identical to [`decide`](ResourceManager::decide) —
-    /// pools carry no plan state, only reusable allocations and exact-keyed
-    /// memo entries. The default implementation ignores the pool; managers
+    /// pools carry no plan state, only reusable allocations. The default
+    /// implementation ignores the pool; managers
     /// with a hot placement search ([`HeuristicRm`](crate::HeuristicRm),
     /// [`ExactRm`](crate::ExactRm), [`MilpRm`](crate::MilpRm)) override it.
     fn decide_with_pool(
@@ -193,23 +193,19 @@ pub trait ResourceManager {
 ///
 /// A manager threads one pool through every [`PlanBuilder::new`] of an
 /// activation — in particular through all rungs of the phantom-count
-/// fallback ladder — so timeline allocations and the timelines'
-/// engine-fallback memo entries (kept only for non-preemptable queues with
-/// two or more future releases, and in oracle mode) are shared across the
-/// whole placement search instead of being rebuilt per rung.
+/// fallback ladder — so timeline allocations are shared across the whole
+/// placement search instead of being rebuilt per rung.
 ///
 /// Pools may also outlive a single activation: a caller that simulates many
 /// traces can hold one warm pool per worker and pass it to
 /// [`ResourceManager::decide_with_pool`] on every activation, eliminating
-/// the steady-state timeline/buffer allocations. This is safe because every
-/// memoized verdict is keyed by the exact queue content, and a timeline
-/// drops its memo when [`PlanBuilder::new`] resets it for another instant or
-/// resource kind.
+/// the steady-state timeline/buffer allocations. A pool carries no
+/// verdicts: [`PlanBuilder::new`] resets every timeline it touches.
 #[derive(Debug, Clone, Default)]
 pub struct TimelinePool {
     /// When `true`, timelines run in oracle mode: every feasibility probe is
-    /// a memoized from-scratch engine run — the pre-incremental baseline,
-    /// kept callable for benchmarks and differential tests.
+    /// a from-scratch engine run — the pre-incremental baseline, kept
+    /// callable for benchmarks and differential tests.
     oracle: bool,
     /// One timeline per resource, reset (not reallocated) per builder.
     timelines: Vec<EdfTimeline>,
@@ -254,20 +250,8 @@ impl TimelinePool {
         TimelinePool::default()
     }
 
-    /// Creates a pool whose timelines answer every probe with the memoized
-    /// from-scratch engine instead of the incremental tree. Verdicts are
-    /// identical; this exists so benchmarks can compare against the
-    /// pre-incremental baseline inside the same binary.
-    #[must_use]
-    pub fn oracle() -> Self {
-        TimelinePool {
-            oracle: true,
-            ..TimelinePool::default()
-        }
-    }
-
     /// Switches the pool between incremental feasibility (the default,
-    /// `false`) and the memoized from-scratch engine baseline (`true`).
+    /// `false`) and the from-scratch engine baseline (`true`).
     /// Managers that accept an external pool
     /// ([`ResourceManager::decide_with_pool`]) call this on every activation
     /// so the pool's mode always matches the manager's own
@@ -284,10 +268,10 @@ impl TimelinePool {
     }
 
     /// Total feasibility verdicts the pool's timelines answered with the
-    /// from-scratch engine (memo hits included) instead of the incremental
-    /// trees. Diagnostics: tests assert that probes on preemptable resources
-    /// — phantoms included — and on non-preemptable queues holding a single
-    /// future release never route through the engine.
+    /// from-scratch engine instead of the sorted arrays: 0 outside oracle
+    /// mode. Diagnostics: tests assert that no probe — phantoms and delayed
+    /// arrivals included, on either resource kind — routes through the
+    /// engine.
     #[must_use]
     pub fn engine_verdicts(&self) -> u64 {
         self.timelines
@@ -384,15 +368,12 @@ impl TimelinePool {
 /// a job that fits is committed at the index the scan found, and
 /// backtracking ([`unplace_last`](PlanBuilder::unplace_last)) removes it
 /// again by that recorded index, with no search. Queues containing
-/// future-released jobs (phantoms, delayed arrivals) stay incremental on
-/// preemptable resources — the timeline answers them with a
-/// per-release-segment demand-criterion sweep — and a non-preemptable queue
-/// holding one future release is answered by one in-order walk of the
-/// timeline's sorted array. Only non-preemptable queues with two or more
-/// future releases fall back to memoized from-scratch engine runs, where
-/// the scheduling anomaly genuinely needs the engine; exactness is never
-/// traded away. Committing ([`place`](PlanBuilder::place)) computes no
-/// verdict.
+/// future-released jobs (phantoms, delayed arrivals) stay incremental:
+/// the timeline answers a preemptable one with a per-release-segment
+/// demand-criterion sweep, and a non-preemptable one with a release-merge
+/// walk of its sorted array that replays the engine's dispatch order, so
+/// the scheduling anomaly is decided exactly without running the engine.
+/// Committing ([`place`](PlanBuilder::place)) computes no verdict.
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     activation: &'a Activation<'a>,
@@ -461,8 +442,8 @@ impl<'a> PlanBuilder<'a> {
     /// job on a queue the demand scan decides is probed first — one scan of
     /// the sorted queue with the job merged in — and committed at the index
     /// the scan found, so a failed attempt moves nothing. Other attempts
-    /// push, read the verdict (one in-order walk of the sorted queue on a
-    /// non-preemptable queue holding one future release) and undo on a
+    /// push, read the verdict (one release-merge walk of the sorted queue
+    /// on a non-preemptable queue holding future releases) and undo on a
     /// failure.
     #[must_use = "an unchecked placement attempt hides an admission failure"]
     pub fn try_place(&mut self, job: &JobView, candidate: &Candidate) -> bool {
@@ -672,8 +653,8 @@ mod tests {
     #[test]
     fn reused_pool_matches_fresh_pool_across_activations() {
         // A warm pool handed to decide_with_pool across activations with
-        // different instants (and hence different memo keys) must produce
-        // exactly the decisions of per-activation fresh pools.
+        // different instants must produce exactly the decisions of
+        // per-activation fresh pools.
         let (platform, catalog) = setup();
         let mut warm = TimelinePool::new();
         let mut rm_warm = crate::HeuristicRm::new();

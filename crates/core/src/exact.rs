@@ -34,8 +34,8 @@
 //! only tightens as jobs are added, so a cut subtree holds no feasible leaf.
 //! The exact verdict on such queues is postponed to the leaves
 //! ([`PlanBuilder::all_schedulable`]), because non-preemptive feasibility
-//! with a future release is not monotone; on a one-phantom rung the leaf
-//! verdict is the timeline's in-order walk, not an engine run.
+//! with a future release is not monotone; on every rung the leaf verdict
+//! is the timeline's release-merge walk, not an engine run.
 //!
 //! Blocking cut: on a rung whose job set holds exactly one future release
 //! `F`, a per-depth [`Lookahead`] records, keyed by deadline, the most work
@@ -79,9 +79,9 @@ pub struct ExactRm {
     /// [`candidates`](crate::candidates)). Enabled by default; Fig 1's
     /// scenario analysis requires it.
     pub gpu_restart_in_place: bool,
-    /// Answer every exact feasibility probe with a memoized from-scratch
-    /// engine run instead of the incremental timeline (the demand bound on
-    /// GPU queues with a future release reads the timeline in both modes).
+    /// Answer every exact feasibility probe with a from-scratch engine run
+    /// instead of the incremental timeline (the demand bound on GPU queues
+    /// with a future release reads the timeline in both modes).
     /// Verdicts (and hence plans) are identical; this is the pre-incremental
     /// baseline, kept for benchmarks and differential tests.
     pub oracle_feasibility: bool,
@@ -940,8 +940,7 @@ impl ResourceManager for ExactRm {
     }
 
     fn decide(&mut self, activation: &Activation<'_>) -> Decision {
-        // The fallback ladder's rungs share the timelines and the
-        // engine-fallback memo through the pool.
+        // The fallback ladder's rungs share the timelines through the pool.
         let mut pool = TimelinePool::new();
         self.decide_with_pool(activation, &mut pool)
     }

@@ -96,10 +96,10 @@ pub struct HeuristicRm {
     /// input order instead. Only useful for ablation studies; the paper's
     /// algorithm uses regret ordering.
     pub disable_regret_ordering: bool,
-    /// Answer every feasibility probe with a memoized from-scratch engine
-    /// run instead of the incremental timeline. Verdicts (and hence
-    /// decisions) are identical; this is the pre-incremental baseline, kept
-    /// for benchmarks and differential tests.
+    /// Answer every feasibility probe with a from-scratch engine run
+    /// instead of the incremental timeline. Verdicts (and hence decisions)
+    /// are identical; this is the pre-incremental baseline, kept for
+    /// benchmarks and differential tests.
     pub oracle_feasibility: bool,
     /// Rebuild, re-filter, and re-sort every job's candidate list per rung
     /// and per mapping iteration instead of scanning the shared
@@ -413,8 +413,7 @@ impl ResourceManager for HeuristicRm {
     }
 
     fn decide(&mut self, activation: &Activation<'_>) -> Decision {
-        // The fallback ladder's rungs share the timelines and the
-        // engine-fallback memo through the pool.
+        // The fallback ladder's rungs share the timelines through the pool.
         let mut pool = TimelinePool::new();
         self.decide_with_pool(activation, &mut pool)
     }

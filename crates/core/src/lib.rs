@@ -75,6 +75,6 @@ pub use driver::{
 pub use exact::ExactRm;
 pub use heuristic::{most_desirable_resource, HeuristicRm};
 pub use milp_rm::MilpRm;
-pub use prune::{pareto_front, CandidateTable, PruneStats};
+pub use prune::{CandidateTable, PruneStats};
 pub use static_rm::StaticRm;
 pub use view::{JobView, Placement};

@@ -35,8 +35,8 @@
 //! fallback, counted in [`PruneStats::widened`]. Widening is a seamless
 //! cursor continuation over the same sorted row, which is why verdicts (and
 //! whole decisions) never change — see `DESIGN.md` §8 for the dominance
-//! argument, including why a hard cross-resource Pareto filter
-//! ([`pareto_front`]) must stay advisory.
+//! argument, including why a hard cross-resource Pareto filter must stay
+//! advisory.
 
 use rtrm_platform::{PlatformIndex, TaskTypeId, Time, DEFAULT_SHORTLIST};
 
@@ -380,67 +380,10 @@ impl RankedScan<'_> {
     }
 }
 
-/// The Pareto front of a candidate row on `(exec, energy)`: every candidate
-/// not weakly dominated by another (one with `exec <=` and `energy <=`,
-/// strictly better on at least one axis). A single sweep over the
-/// energy-sorted row — O(m log m), not the naive O(m²) pairwise check.
-///
-/// Laxity-after-placement (`t_left − exec`) needs no third axis: for a
-/// fixed job it is a monotone function of `exec`, so `(exec, energy)`
-/// dominance implies laxity dominance.
-///
-/// The front is *advisory*: cross-resource dominance is not verdict-safe
-/// (the dominating candidate's resource may be loaded while the dominated
-/// one's is idle), so the managers never hard-drop dominated candidates —
-/// the front instead characterizes which placements can ever stop a
-/// first-fit scan when capacity alone binds, which is what the shortlist
-/// prefix approximates and the widen fallback makes safe (`DESIGN.md` §8).
-///
-/// # Examples
-///
-/// ```
-/// use rtrm_core::{pareto_front, Candidate};
-/// use rtrm_platform::{Energy, ResourceId, Time};
-///
-/// let mk = |r: usize, exec: f64, energy: f64| Candidate {
-///     resource: ResourceId::new(r),
-///     exec: Time::new(exec),
-///     energy: Energy::new(energy),
-///     pinned: false,
-///     restart: false,
-///     speed: 1.0,
-/// };
-/// // (8, 1) and (5, 2) trade off; (9, 3) is dominated by both.
-/// let front = pareto_front(&[mk(0, 8.0, 1.0), mk(1, 9.0, 3.0), mk(2, 5.0, 2.0)]);
-/// let picked: Vec<usize> = front.iter().map(|c| c.resource.index()).collect();
-/// assert_eq!(picked, vec![0, 2]);
-/// ```
-#[must_use]
-pub fn pareto_front(row: &[Candidate]) -> Vec<Candidate> {
-    let mut sorted: Vec<Candidate> = row.to_vec();
-    sorted.sort_by(|a, b| {
-        a.energy
-            .cmp(&b.energy)
-            .then(a.exec.cmp(&b.exec))
-            .then(a.resource.cmp(&b.resource))
-    });
-    let mut front = Vec::new();
-    let mut best_exec = Time::new(f64::INFINITY);
-    for c in sorted {
-        // Energy is non-decreasing, so `c` is undominated iff it strictly
-        // improves the best execution time seen so far.
-        if c.exec < best_exec {
-            best_exec = c.exec;
-            front.push(c);
-        }
-    }
-    front
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtrm_platform::{Energy, Platform, ResourceId, TaskCatalog, TaskType};
+    use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType};
     use rtrm_sched::JobKey;
 
     fn world() -> (Platform, TaskCatalog) {
@@ -561,29 +504,5 @@ mod tests {
             while scan.next().is_some() {}
         }
         assert_eq!(table.stats().widened, 1, "exhausting the row widens once");
-    }
-
-    #[test]
-    fn pareto_front_drops_weakly_dominated_candidates() {
-        let mk = |r: usize, exec: f64, energy: f64| Candidate {
-            resource: ResourceId::new(r),
-            exec: Time::new(exec),
-            energy: Energy::new(energy),
-            pinned: false,
-            restart: false,
-            speed: 1.0,
-        };
-        let row = [
-            mk(0, 8.0, 1.0),
-            mk(1, 8.0, 1.0), // duplicate of 0: weakly dominated
-            mk(2, 8.0, 2.0), // dominated by 0 (same exec, more energy)
-            mk(3, 4.0, 2.0), // on the front (faster than 0)
-            mk(4, 5.0, 3.0), // dominated by 3
-            mk(5, 2.0, 9.0), // on the front (fastest)
-        ];
-        let front = pareto_front(&row);
-        let picked: Vec<usize> = front.iter().map(|c| c.resource.index()).collect();
-        assert_eq!(picked, vec![0, 3, 5]);
-        assert!(pareto_front(&[]).is_empty());
     }
 }

@@ -7,13 +7,14 @@
 //!   the defer path used a strict `release > now`, deferring a verdict the
 //!   engine considered immediately answerable, and dropping the job itself
 //!   from the sub-queue check).
-//! * With-phantom decisions on preemptable resources must be answered
-//!   entirely by the incremental timelines: zero engine-fallback verdicts
-//!   across every rung of the fallback ladder.
+//! * With-phantom decisions must be answered entirely by the incremental
+//!   timelines, on the GPU too: zero engine verdicts across every rung of
+//!   the fallback ladder, with two future releases sharing one GPU queue,
+//!   and the oracle pool's decisions.
 
 use rtrm_core::{
-    Activation, Candidate, ExactRm, HeuristicRm, JobView, PlanBuilder, ResourceManager,
-    TimelinePool,
+    Activation, Candidate, Decision, ExactRm, HeuristicRm, JobView, Placement, PlanBuilder,
+    ResourceManager, TimelinePool,
 };
 use rtrm_platform::{
     Energy, Platform, ResourceId, ResourceKind, TaskCatalog, TaskType, TaskTypeId, Time,
@@ -111,12 +112,33 @@ fn phantom_activation<'a>(
     }
 }
 
-/// With-phantom decisions keep every probe on a preemptable resource inside
-/// the incremental timelines: the pool records zero engine verdicts for CPU
-/// timelines across the whole fallback ladder, for both the heuristic and
-/// the branch & bound manager.
+/// Decides `activation` with `rm` on a fresh incremental pool and on a
+/// fresh oracle pool: the decisions must agree, the incremental pool must
+/// never run the engine and the oracle pool must.
+fn decide_against_the_oracle<M: ResourceManager>(
+    activation: &Activation<'_>,
+    rm: &mut M,
+    set_oracle: fn(&mut M, bool),
+) -> Decision {
+    let mut pool = TimelinePool::new();
+    set_oracle(rm, false);
+    let decision = rm.decide_with_pool(activation, &mut pool);
+    assert_eq!(pool.engine_verdicts(), 0, "{} ran the engine", rm.name());
+    let mut oracle_pool = TimelinePool::new();
+    set_oracle(rm, true);
+    let oracle_decision = rm.decide_with_pool(activation, &mut oracle_pool);
+    assert!(oracle_pool.engine_verdicts() > 0);
+    assert_eq!(decision, oracle_decision, "{} left the oracle", rm.name());
+    decision
+}
+
+/// With-phantom decisions keep every probe inside the incremental
+/// timelines: the pool records zero engine verdicts across the whole
+/// fallback ladder — the GPU queue holding both phantoms included — for
+/// both the heuristic and the branch & bound manager, and each decision
+/// equals the oracle pool's.
 #[test]
-fn phantom_decides_stay_off_engine_on_preemptable_resources() {
+fn phantom_decides_never_run_the_engine() {
     let (platform, catalog) = world();
     let now = Time::new(100.0);
 
@@ -144,47 +166,70 @@ fn phantom_decides_stay_off_engine_on_preemptable_resources() {
     ];
     let activation = phantom_activation(&platform, &catalog, &active, arriving, &predicted, now);
 
-    let mut heuristic = HeuristicRm::new();
-    let mut pool = TimelinePool::new();
-    let decision = heuristic.decide_with_pool(&activation, &mut pool);
-    assert!(decision.admitted);
-    for tl in pool.timelines() {
-        if tl.kind().is_preemptable() {
-            assert_eq!(
-                tl.engine_verdicts(),
-                0,
-                "heuristic probed a preemptable timeline through the engine"
-            );
-        }
-    }
+    let heuristic = decide_against_the_oracle(&activation, &mut HeuristicRm::new(), |rm, on| {
+        rm.oracle_feasibility = on;
+    });
+    let exact = decide_against_the_oracle(&activation, &mut ExactRm::new(), |rm, on| {
+        rm.oracle_feasibility = on;
+    });
+    assert!(heuristic.admitted);
+    assert!(exact.admitted);
+}
 
-    let mut exact = ExactRm::new();
-    let mut pool = TimelinePool::new();
-    let decision = exact.decide_with_pool(&activation, &mut pool);
-    assert!(decision.admitted);
-    for tl in pool.timelines() {
-        if tl.kind().is_preemptable() {
-            assert_eq!(
-                tl.engine_verdicts(),
-                0,
-                "branch & bound probed a preemptable timeline through the engine"
-            );
-        }
-    }
+/// A Fig 5 cell's activation: prediction overhead releases the arriving
+/// task after `now`, and a phantom follows it, both of a type only the GPU
+/// runs. The GPU queue then holds a pinned running job, a dense job and
+/// two future releases — the queue the release-merge walk answers.
+#[test]
+fn delayed_arrival_and_phantom_share_the_gpu_without_the_engine() {
+    let platform = Platform::builder().cpus(2).gpu("g").build();
+    let ids: Vec<_> = platform.ids().collect();
+    let gpu = ids[2];
+    let any = TaskType::builder(0, &platform)
+        .profile(ids[0], Time::new(4.0), Energy::new(4.0))
+        .profile(ids[1], Time::new(4.0), Energy::new(4.0))
+        .profile(gpu, Time::new(5.0), Energy::new(1.0))
+        .build();
+    let gpu_only = TaskType::builder(1, &platform)
+        .profile(gpu, Time::new(2.0), Energy::new(1.0))
+        .build();
+    let catalog = TaskCatalog::new(vec![any, gpu_only]);
 
-    // Sanity: the same decisions under the oracle pool (pre-incremental
-    // baseline) are bit-identical, and *do* route through the engine.
-    let mut oracle_pool = TimelinePool::oracle();
-    let mut heuristic_oracle = HeuristicRm::new();
-    heuristic_oracle.oracle_feasibility = true;
-    let oracle_decision = heuristic_oracle.decide_with_pool(&activation, &mut oracle_pool);
-    let mut pool = TimelinePool::new();
-    let incremental_decision = HeuristicRm::new().decide_with_pool(&activation, &mut pool);
-    assert_eq!(oracle_decision, incremental_decision);
-    assert!(
-        oracle_pool.engine_verdicts() > 0,
-        "the oracle baseline answers through the engine by construction"
+    let now = Time::new(100.0);
+    let mut running = JobView::fresh(
+        JobKey(0),
+        TaskTypeId::new(0),
+        Time::new(95.0),
+        Time::new(120.0),
     );
+    running.placement = Some(Placement::new(gpu, 0.5, true));
+    let waiting = JobView::fresh(JobKey(1), TaskTypeId::new(1), now, Time::new(112.0));
+    let active = [running, waiting];
+    // Released 0.64 after `now` by the predictor's overhead.
+    let arriving = JobView::fresh(
+        JobKey(2),
+        TaskTypeId::new(1),
+        Time::new(100.64),
+        Time::new(109.0),
+    );
+    let predicted = [JobView::fresh(
+        JobKey(3),
+        TaskTypeId::new(1),
+        Time::new(103.0),
+        Time::new(110.0),
+    )];
+    let activation = phantom_activation(&platform, &catalog, &active, arriving, &predicted, now);
+
+    let heuristic = decide_against_the_oracle(&activation, &mut HeuristicRm::new(), |rm, on| {
+        rm.oracle_feasibility = on;
+    });
+    let exact = decide_against_the_oracle(&activation, &mut ExactRm::new(), |rm, on| {
+        rm.oracle_feasibility = on;
+    });
+    for decision in [heuristic, exact] {
+        assert!(decision.admitted);
+        assert!(decision.used_prediction, "the plan honours the phantom");
+    }
 }
 
 /// CPU-only platform: the pool-wide engine-verdict count is zero for a

@@ -84,26 +84,32 @@
 //! managers' fallback ladder.
 //!
 //! The sweep is the exact verdict on preemptable queues and on dense queues
-//! of either kind. *Non-preemptable* resources with future releases
+//! of either kind, on exact (dyadic) times. It sums execution times where
+//! the engine advances a clock, so on arbitrary floats the two can round to
+//! opposite sides of a deadline's ε tolerance when the deadline lies within
+//! a few ulps of it. *Non-preemptable* resources with future releases
 //! additionally suffer scheduling anomalies (delaying one dispatch can
 //! repair another), so the sweep only bounds them.
 //!
-//! # One future release on a non-preemptable queue: the in-order walk
+//! # Future releases on a non-preemptable queue: the release-merge walk
 //!
-//! The queue the managers' fallback ladder probes most — a phantom on the
-//! GPU — holds exactly one future job `F`. Every other job is ready at
-//! `now`, so the engine's non-preemptive run is fixed by the sorted array's
-//! order: the pinned job first, then the dense jobs back to back in
-//! `(deadline, push order)`, with `F` dispatched at the first completion at
-//! or after its release ahead of the first later-keyed dense job (or at its
-//! release, if the dense jobs drain first). [`EdfTimeline::feasible`]
-//! replays exactly that as one in-order walk of the array, advancing time
-//! with the engine's own arithmetic and `meets`/`released_by` checks, so its
-//! verdict is the engine's bit for bit at O(n) and with no engine run. Only
-//! queues with two or more future releases (multi-step lookahead, or a
-//! phantom plus an overhead-delayed arrival) and oracle mode run the
-//! event-driven engine over the retained job list, memoized by exact queue
-//! content.
+//! The queues the managers' fallback ladder probes on a GPU hold a few
+//! future jobs among the dense ones: a phantom, a phantom plus an arrival
+//! delayed by prediction overhead, or the phantoms of a multi-step
+//! lookahead. The engine's non-preemptive run dispatches the pinned job
+//! first and then, at each completion, the released job with the least
+//! `(deadline, push order)` key; when none is ready it idles to the
+//! earliest release. [`EdfTimeline::feasible`] replays exactly that as one
+//! walk of the sorted array. Dense rows are always ready, so the next job
+//! is the cursor's next row unless a future row the cursor passed before
+//! its release has been released since: passed rows wait in a short list
+//! in key order, and the first released one runs ahead of the cursor. When
+//! only waiting rows are left and none is released, the clock jumps to
+//! their earliest release. Every step advances time with the engine's own
+//! arithmetic and `meets`/`released_by` checks, so the verdict is the
+//! engine's on every float, with no engine run: O(n) for one future
+//! release, plus O(k) per dispatch while rows wait. Only oracle mode runs
+//! the event-driven engine.
 //!
 //! The sweep still bounds every non-preemptable queue from one side: a
 //! work-conserving non-preemptive schedule is also a preemptive one, so a
@@ -116,13 +122,11 @@
 //! the release.
 //!
 //! The differential property suite in `tests/incremental.rs` asserts that
-//! every push/undo sequence agrees — bit for bit on the verdict — with a
-//! from-scratch [`is_schedulable_with`] over the same jobs and with the
-//! scan-based [`crate::reference`] oracle; the workspace's
-//! `tests/deep_timeline.rs` does the same to depth 512, with deadline ties
-//! at every position.
+//! every push/undo sequence agrees on the verdict with a from-scratch
+//! [`is_schedulable_with`] over the same jobs and with the scan-based
+//! [`crate::reference`] oracle; the workspace's `tests/deep_timeline.rs`
+//! does the same to depth 512, with deadline ties at every position.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use rtrm_platform::{ResourceKind, Time, TIME_EPSILON};
@@ -171,16 +175,9 @@ enum Slot {
     /// Released after `now` (beyond [`TIME_EPSILON`]): lives at this index
     /// of the deadline-sorted array *and* on the release stack, so verdicts
     /// can run the demand-criterion sweep per release segment (and, on
-    /// non-preemptable resources, the single-release walk or the engine
-    /// fallback).
+    /// non-preemptable resources, the release-merge walk).
     Future(u32),
 }
-
-/// Entries allowed in the engine-fallback memo (non-preemptable queues with
-/// two or more future releases, and oracle mode) before it is reset; bounds
-/// memory on pathological workloads while never evicting the hot set of a
-/// single placement search.
-const MEMO_CAP: usize = 4096;
 
 /// A persistent single-resource EDF timeline with incremental admission:
 /// a probe costs one scan over the retained queue, and a kept job one shift.
@@ -190,9 +187,9 @@ const MEMO_CAP: usize = 4096;
 /// [`insert`](EdfTimeline::insert), retract the most recent one with
 /// [`undo`](EdfTimeline::undo) (strict stack discipline), and read the
 /// current verdict with [`feasible`](EdfTimeline::feasible). The semantics
-/// are exactly those of [`is_schedulable_with`] over
-/// [`jobs`](EdfTimeline::jobs): preemptive EDF on CPUs, work-conserving
-/// non-preemptive EDF on GPUs, pinned job first.
+/// are those of [`is_schedulable_with`] over [`jobs`](EdfTimeline::jobs):
+/// preemptive EDF on CPUs, work-conserving non-preemptive EDF on GPUs,
+/// pinned job first.
 ///
 /// # Examples
 ///
@@ -219,9 +216,9 @@ const MEMO_CAP: usize = 4096;
 pub struct EdfTimeline {
     kind: ResourceKind,
     start: Time,
-    /// When set, every verdict uses the memoized from-scratch engine instead
-    /// of the sorted array — the pre-incremental baseline, kept callable
-    /// for benchmarks and differential tests.
+    /// When set, every verdict runs the from-scratch engine instead of
+    /// reading the sorted array — the pre-incremental baseline, kept
+    /// callable for benchmarks and differential tests.
     oracle: bool,
     /// All pushed jobs, in push order (= the engine's input order, which
     /// breaks deadline ties).
@@ -235,8 +232,10 @@ pub struct EdfTimeline {
     /// Indices (into `jobs`) of future-released jobs, in push order. Undo is
     /// strict LIFO over all pushes, so this behaves as a stack too.
     future_stack: Vec<u32>,
-    /// Scratch: `future_stack` sorted by descending release for the
-    /// per-segment sweep of [`EdfTimeline::demand_feasible`].
+    /// Scratch over future-released jobs: `future_stack` sorted by
+    /// descending release for the per-segment sweep of
+    /// [`EdfTimeline::demand_feasible`], and the release-merge walk's
+    /// waiting rows.
     seg_order: Vec<u32>,
     /// Scratch array sorted by `(deadline, push order)`, rebuilt over the
     /// future jobs during the per-segment sweep.
@@ -245,13 +244,11 @@ pub struct EdfTimeline {
     /// the engine's per-job necessary condition, kept as a count so push and
     /// undo maintain it in O(1).
     overruns: u32,
-    /// Verdicts answered by the from-scratch engine (memoized or not)
-    /// instead of the sorted arrays, since construction. Cumulative
-    /// across [`reset`](EdfTimeline::reset); diagnostics only.
+    /// Verdicts answered by the from-scratch engine (oracle mode) since
+    /// construction. Cumulative across [`reset`](EdfTimeline::reset);
+    /// diagnostics only.
     engine_verdicts: u64,
     scratch: EdfScratch,
-    memo: HashMap<Vec<u64>, bool>,
-    probe: Vec<u64>,
 }
 
 impl EdfTimeline {
@@ -273,21 +270,11 @@ impl EdfTimeline {
             overruns: 0,
             engine_verdicts: 0,
             scratch: EdfScratch::new(),
-            memo: HashMap::new(),
-            probe: Vec::new(),
         }
     }
 
     /// Empties the timeline for reuse, keeping its allocations warm.
-    ///
-    /// The engine-fallback memo survives the reset when `kind` and `now` are
-    /// unchanged (verdicts depend only on the queue content given those two),
-    /// which is what lets the managers' fallback ladder re-examine the same
-    /// queues for free; it is dropped when either changes.
     pub fn reset(&mut self, kind: ResourceKind, now: Time) {
-        if kind != self.kind || now != self.start {
-            self.memo.clear();
-        }
         self.kind = kind;
         self.start = now;
         self.jobs.clear();
@@ -298,9 +285,9 @@ impl EdfTimeline {
         self.overruns = 0;
     }
 
-    /// Switches between incremental verdicts (default) and the memoized
-    /// from-scratch engine. Both modes agree on every verdict; the oracle
-    /// mode exists as an in-binary baseline for benchmarks and tests.
+    /// Switches between incremental verdicts (default) and a from-scratch
+    /// engine run per verdict. Both modes agree on every verdict; the
+    /// oracle mode exists as an in-binary baseline for benchmarks and tests.
     pub fn set_oracle(&mut self, oracle: bool) {
         self.oracle = oracle;
     }
@@ -392,14 +379,15 @@ impl EdfTimeline {
             // identical to the engine's input-order tie-break. A future
             // release joins the array too — the `now + B` segment of the
             // demand criterion spans every unpinned job, and the
-            // single-release walk reads it in key order — and its index is
+            // release-merge walk reads it in key order — and its index is
             // stacked for the per-segment sweep.
-            let at = self.by_deadline.insert_newest(Row::new(&job, seq));
-            if job.release.released_by(self.start) {
-                Slot::Dense(at)
-            } else {
+            let future = !job.release.released_by(self.start);
+            let at = self.by_deadline.insert_newest(Row::new(&job, seq, future));
+            if future {
                 self.future_stack.push(seq);
                 Slot::Future(at)
+            } else {
+                Slot::Dense(at)
             }
         };
         self.overruns += u32::from(self.overruns_alone(&job));
@@ -459,7 +447,7 @@ impl EdfTimeline {
         if self.overruns > 0 || self.overruns_alone(&job) {
             return false;
         }
-        let row = Row::new(&job, self.jobs.len() as u32);
+        let row = Row::new(&job, self.jobs.len() as u32, false);
         let Some(at) = self.by_deadline.probe(&row, self.base() - TIME_EPSILON) else {
             return false;
         };
@@ -526,82 +514,85 @@ impl EdfTimeline {
     }
 
     /// Returns `true` if every job on the timeline meets its deadline —
-    /// the same verdict as [`is_schedulable_with`] over
-    /// [`jobs`](EdfTimeline::jobs).
+    /// the verdict of [`is_schedulable_with`] over
+    /// [`jobs`](EdfTimeline::jobs) (on exact dyadic times where the demand
+    /// sweep answers; see the module docs).
     ///
     /// Preemptable and dense queues read the demand sweep; a
-    /// non-preemptable queue holding exactly one future release replays the
-    /// engine's run as one in-order walk of the sorted array. Only a
-    /// non-preemptable queue with two or more future releases, and oracle
-    /// mode, run the memoized engine.
+    /// non-preemptable queue holding future releases replays the engine's
+    /// run as one release-merge walk of the sorted array. Only oracle mode
+    /// runs the engine.
     #[must_use]
     pub fn feasible(&mut self) -> bool {
         if self.oracle {
-            return self.engine_feasible();
-        }
-        if self.kind.is_preemptable() {
-            return self.demand_feasible();
-        }
-        match *self.future_stack.as_slice() {
-            [] => self.demand_feasible(),
-            [future] => self.single_release_feasible(future),
-            _ => self.engine_feasible(),
+            self.engine_verdicts += 1;
+            is_schedulable_with(self.kind, self.start, &self.jobs, &mut self.scratch)
+        } else if self.kind.is_preemptable() || self.future_stack.is_empty() {
+            self.demand_feasible()
+        } else {
+            self.walk_feasible()
         }
     }
 
-    /// The engine's verdict on a non-preemptable queue holding exactly one
-    /// future-released job `F` (index `future`), without running the engine.
+    /// The engine's verdict on a non-preemptable queue holding future
+    /// releases, without running the engine.
     ///
-    /// Every dense job is ready at `now`, so the engine's non-preemptive run
-    /// dispatches the pinned job first and then the dense jobs back to back
-    /// in `(deadline, push order)` — the sorted array's order. The one
-    /// event that changes the ready set is `F`'s release: `F` joins at the
-    /// first completion at or after its release (`released_by`), and is
-    /// dispatched there if every dense job keyed before it is done, or at its
-    /// own key in the sequence otherwise; if the dense jobs drain first, the
-    /// engine idles until the release. The walk follows exactly that order
-    /// and advances time with the engine's own arithmetic and `meets`
-    /// checks, so the verdict is the engine's bit for bit.
-    fn single_release_feasible(&self, future: u32) -> bool {
+    /// The engine dispatches the pinned job first and then, at each
+    /// completion, the released job with the least `(deadline, push order)`
+    /// key. Dense rows are ready from `now`, so that job is the cursor's
+    /// next row of the sorted array unless a future row the cursor passed
+    /// before its release is released by now: passed rows wait in
+    /// `seg_order`, in key order, and the first released one runs ahead of
+    /// the cursor. When only waiting rows are left and none is released,
+    /// the engine idles to their earliest release. Every dispatch uses the
+    /// engine's own arithmetic and `meets`/`released_by` checks, so the
+    /// verdict is the engine's on every float.
+    fn walk_feasible(&mut self) -> bool {
         if self.overruns > 0 {
             return false;
         }
-        let f = self.jobs[future as usize];
-        let mut now = self.start.value();
-        if let Some(i) = self.pinned {
-            let pinned = &self.jobs[i];
-            if let ControlFlow::Break(verdict) = dispatch(&mut now, pinned.exec, pinned.deadline) {
+        let EdfTimeline {
+            start,
+            jobs,
+            by_deadline,
+            pinned,
+            seg_order: waiting,
+            ..
+        } = self;
+        let mut now = start.value();
+        if let Some(i) = *pinned {
+            let job = &jobs[i];
+            if let ControlFlow::Break(verdict) = dispatch(&mut now, job.exec, job.deadline) {
                 return verdict;
             }
         }
-        // `F`'s key was passed while it was still unreleased.
-        let mut waiting = false;
-        let walked = self.by_deadline.rows.iter().try_for_each(|row| {
-            let released = f.release.released_by(Time::new(now));
-            if row.seq == future {
-                if released {
-                    return dispatch(&mut now, f.exec, f.deadline);
+        let released = |seq: u32, now: f64| jobs[seq as usize].release.released_by(Time::new(now));
+        waiting.clear();
+        let mut rows = by_deadline.rows.iter();
+        loop {
+            // A passed row released by now is keyed before the cursor's.
+            let waited = waiting.iter().position(|&seq| released(seq, now));
+            let (exec, deadline) = if let Some(at) = waited {
+                let job = &jobs[waiting.remove(at) as usize];
+                (job.exec, job.deadline)
+            } else if let Some(row) = rows.next() {
+                if row.future && !released(row.seq, now) {
+                    waiting.push(row.seq);
+                    continue;
                 }
-                waiting = true;
-                return ControlFlow::Continue(());
+                (Time::new(row.exec), Time::new(row.deadline))
+            } else if let Some(release) =
+                waiting.iter().map(|&seq| jobs[seq as usize].release).min()
+            {
+                // Only unreleased waiting rows are left: idle to the first.
+                now = release.value();
+                continue;
+            } else {
+                return true;
+            };
+            if let ControlFlow::Break(verdict) = dispatch(&mut now, exec, deadline) {
+                return verdict;
             }
-            if waiting && released {
-                waiting = false;
-                dispatch(&mut now, f.exec, f.deadline)?;
-            }
-            dispatch(&mut now, Time::new(row.exec), Time::new(row.deadline))
-        });
-        match walked {
-            ControlFlow::Break(verdict) => verdict,
-            ControlFlow::Continue(()) if waiting => {
-                // The dense jobs drained first: the engine idles until the
-                // release unless the last completion already reached it.
-                if !f.release.released_by(Time::new(now)) {
-                    now = f.release.value();
-                }
-                dispatch(&mut now, f.exec, f.deadline) != ControlFlow::Break(false)
-            }
-            ControlFlow::Continue(()) => true,
         }
     }
 
@@ -613,10 +604,9 @@ impl EdfTimeline {
         !self.future_stack.is_empty()
     }
 
-    /// Number of verdicts answered by the from-scratch engine (memo hits
-    /// included) instead of the sorted arrays, since construction.
-    /// Diagnostics: tests assert that preemptable probes and single-release
-    /// non-preemptable probes stay off the engine.
+    /// Number of verdicts answered by the from-scratch engine instead of
+    /// the sorted arrays, since construction: 0 outside oracle mode.
+    /// Diagnostics: tests assert that managers' probes stay off the engine.
     #[must_use]
     pub fn engine_verdicts(&self) -> u64 {
         self.engine_verdicts
@@ -629,7 +619,9 @@ impl EdfTimeline {
     /// fit.
     ///
     /// On preemptable queues, and on dense queues of either kind, this *is*
-    /// the verdict of [`is_schedulable_with`]. On a non-preemptable queue
+    /// the verdict of [`is_schedulable_with`] on exact (dyadic) times; on
+    /// arbitrary floats the two may round apart when a deadline lies within
+    /// a few ulps of its ε boundary. On a non-preemptable queue
     /// with future releases it is a necessary condition: every
     /// work-conserving non-preemptive schedule is also a preemptive one, so
     /// whenever the engine accepts a queue this holds on it and on every
@@ -686,7 +678,7 @@ impl EdfTimeline {
         seg_by_deadline.rows.clear();
         for &idx in seg_order.iter() {
             let job = &jobs[idx as usize];
-            seg_by_deadline.insert(Row::new(job, idx));
+            seg_by_deadline.insert(Row::new(job, idx, true));
             // Checking after every insertion (not once per distinct release)
             // is equivalent: a partial release group only reports larger gaps
             // than the full group, whose own check still runs. A segment
@@ -749,28 +741,6 @@ impl EdfTimeline {
         });
         matches!(blocked, ControlFlow::Break(true))
     }
-
-    /// From-scratch engine verdict over the retained queue, memoized by
-    /// exact queue content.
-    fn engine_feasible(&mut self) -> bool {
-        self.engine_verdicts += 1;
-        self.probe.clear();
-        for j in &self.jobs {
-            self.probe.push(j.release.value().to_bits());
-            self.probe.push(j.exec.value().to_bits());
-            self.probe.push(j.deadline.value().to_bits());
-            self.probe.push(u64::from(j.pinned));
-        }
-        if let Some(&verdict) = self.memo.get(&self.probe) {
-            return verdict;
-        }
-        let verdict = is_schedulable_with(self.kind, self.start, &self.jobs, &mut self.scratch);
-        if self.memo.len() >= MEMO_CAP {
-            self.memo.clear();
-        }
-        self.memo.insert(self.probe.clone(), verdict);
-        verdict
-    }
 }
 
 /// Checks the invariant every pushed job's execution time keeps.
@@ -812,10 +782,12 @@ struct Row {
     /// row order matches the engine's heap order bit for bit.
     key: i64,
     seq: u32,
+    /// Released after `now`: the release-merge walk checks its release.
+    future: bool,
 }
 
 impl Row {
-    fn new(job: &PlannedJob, seq: u32) -> Self {
+    fn new(job: &PlannedJob, seq: u32, future: bool) -> Self {
         let deadline = job.deadline.value();
         // `total_cmp`'s own mapping: flip the magnitude bits of negatives.
         let bits = deadline.to_bits() as i64;
@@ -824,6 +796,7 @@ impl Row {
             exec: job.exec.value(),
             key: bits ^ (((bits >> 63) as u64) >> 1) as i64,
             seq,
+            future,
         }
     }
 
@@ -961,32 +934,27 @@ mod tests {
     }
 
     #[test]
-    fn future_release_on_gpu_falls_back_to_engine() {
+    fn future_releases_on_gpu_stay_off_the_engine() {
         let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
         assert!(tl.push(j(0, 0.0, 10.0, 30.0)).is_feasible());
         // Non-preemptable: the future job waits for the running one, so a
         // release at 3 with deadline 6 cannot fit behind 10 units of work.
         assert!(!tl.push(j(1, 3.0, 2.0, 6.0)).is_feasible());
         assert!(!is_schedulable(ResourceKind::Gpu, T0, tl.jobs()));
-        assert_eq!(
-            tl.engine_verdicts(),
-            0,
-            "one future release is answered by the in-order walk"
-        );
         let _ = tl.undo();
         assert!(tl.feasible());
         // Released at 3 with deadline 13, it runs [10, 12) after the blocker;
-        // a second future job waits behind both (12 + 2 > 13.5), and two
-        // future releases are the queue that still runs the engine.
+        // a second future job waits behind both (12 + 2 > 13.5).
         assert!(tl.push(j(2, 3.0, 2.0, 13.0)).is_feasible());
-        assert_eq!(tl.engine_verdicts(), 0);
         assert!(!tl.push(j(3, 4.0, 2.0, 13.5)).is_feasible());
-        assert!(
-            tl.engine_verdicts() > 0,
-            "GPU queues with two future releases use the engine"
-        );
+        assert!(!is_schedulable(ResourceKind::Gpu, T0, tl.jobs()));
         let _ = tl.undo();
         assert!(tl.feasible());
+        assert_eq!(
+            tl.engine_verdicts(),
+            0,
+            "future releases on a GPU are answered by the release-merge walk"
+        );
     }
 
     #[test]
@@ -1002,7 +970,7 @@ mod tests {
             0,
             "insert and the bound read the sorted arrays"
         );
-        assert!(!tl.feasible(), "the engine is authoritative here");
+        assert!(!tl.feasible(), "the walk replays the non-preemptive run");
         let _ = tl.undo();
         // Infeasible even preemptively: 3 + 2 > 4.5.
         tl.insert(j(2, 3.0, 2.0, 4.5));
@@ -1159,21 +1127,6 @@ mod tests {
         assert_eq!(tl.undo().key, JobKey(0));
         assert!(!tl.has_future());
         assert_eq!(tl.engine_verdicts(), 0);
-    }
-
-    #[test]
-    fn reset_keeps_memo_only_for_same_instant() {
-        // Gpu: two future releases are the one case that still memoizes
-        // engine verdicts (preemptable queues and a single future release
-        // are answered incrementally).
-        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
-        tl.insert(j(0, 2.0, 1.0, 10.0));
-        let _ = tl.push(j(1, 3.0, 1.0, 10.0)); // two future: engine + memo
-        tl.reset(ResourceKind::Gpu, T0);
-        assert!(tl.is_empty());
-        assert_eq!(tl.memo.len(), 1, "same (kind, now): memo retained");
-        tl.reset(ResourceKind::Gpu, Time::new(1.0));
-        assert!(tl.memo.is_empty(), "different now: memo dropped");
     }
 
     #[test]

@@ -251,8 +251,8 @@ proptest! {
         run_differential(kind, now, &ops)?;
     }
 
-    /// The oracle mode (memoized from-scratch engine) and the incremental
-    /// mode agree on every verdict of every episode.
+    /// The oracle mode (a from-scratch engine run per verdict) and the
+    /// incremental mode agree on every verdict of every episode.
     #[test]
     fn oracle_and_incremental_agree(
         now in lattice(0..64),
@@ -699,18 +699,23 @@ fn blocking_cut_is_sound_on_continuous_times() {
     );
 }
 
-/// A GPU queue holding exactly one future release, each job a `(release,
-/// exec, deadline)` offset from `now`: the queue
-/// [`EdfTimeline::feasible`] answers with one in-order treap walk.
+/// A GPU queue holding one to four future releases, each job a `(release,
+/// exec, deadline)` offset from `now`: the queue [`EdfTimeline::feasible`]
+/// answers with the release-merge walk.
 #[derive(Debug, Clone)]
 struct WalkCase {
     now: f64,
     pinned: Option<Spec>,
     /// Released within epsilon of `now`, so dense.
     dense: Vec<Spec>,
-    future: Spec,
+    future: Vec<Spec>,
     /// Push-order sort keys for the queue's jobs.
     keys: Vec<u32>,
+    /// `(job, ulps)`: the queue's job `job` (modulo its length) is given
+    /// the deadline `finish - epsilon` moved by `ulps`, where `finish` is
+    /// its completion in the engine's run — a deadline on the float edge of
+    /// the engine's `meets`.
+    knife: Vec<(usize, i64)>,
 }
 
 /// Whether a release `offset` after `now` classifies as future.
@@ -718,21 +723,24 @@ fn is_future(now: f64, offset: f64) -> bool {
     !(Time::new(now) + Time::new(offset)).released_by(Time::new(now))
 }
 
-/// The future job's release offset: at the pinned job's completion `B`
+/// A future job's release offset: at the pinned job's completion `B`
 /// (anchor 0), at the completion of the first `m` dense jobs in drawn order
-/// (anchor 1), or at a free `offset` (anchor 2), each shifted by `jitter`.
-/// A release that would land within epsilon of `now` falls back to
-/// `offset`, keeping the job future.
+/// (anchor 1), at the earliest completion of the future job drawn before it
+/// (anchor 3), or at a free `offset` (anchor 2, and anchor 3 for the first
+/// future job), each shifted by `jitter`. A release that would land within
+/// epsilon of `now` falls back to `offset`, keeping the job future.
 fn future_release(
     now: f64,
     pinned: Option<Spec>,
     dense: &[Spec],
+    earlier: &[Spec],
     (anchor, m, offset, jitter): (u8, usize, f64, f64),
 ) -> f64 {
     let b = pinned.map_or(0.0, |(_, exec, _)| exec);
-    let release = match anchor {
-        0 => b + jitter,
-        1 => b + dense.iter().take(m).map(|&(_, exec, _)| exec).sum::<f64>() + jitter,
+    let release = match (anchor, earlier.last()) {
+        (0, _) => b + jitter,
+        (1, _) => b + dense.iter().take(m).map(|&(_, exec, _)| exec).sum::<f64>() + jitter,
+        (3, Some(&(release, exec, _))) => release + exec + jitter,
         _ => offset + jitter,
     };
     if is_future(now, release) {
@@ -742,9 +750,15 @@ fn future_release(
     }
 }
 
+/// `(job, ulps)` draws for [`WalkCase::knife`]: none on about a third of
+/// the cases.
+fn knife() -> impl Strategy<Value = Vec<(usize, i64)>> {
+    prop::collection::vec((0usize..11, -3i64..=3), 0..3)
+}
+
 /// Lattice regime: execs on the 1/8 lattice, releases and deadlines within
-/// ±epsilon of lattice points, so the future release can sit on, just
-/// before or just after a completion instant.
+/// ±epsilon of lattice points, so a future release can sit on, just before
+/// or just after a completion instant.
 fn lattice_walk_case() -> impl Strategy<Value = WalkCase> {
     // `EPS_OFFSETS[..5]` spans -epsilon..=epsilon: all dense.
     let dense = || {
@@ -759,7 +773,7 @@ fn lattice_walk_case() -> impl Strategy<Value = WalkCase> {
     let pinned = (lattice(0..32), lattice(1..160), 0usize..DEADLINE_EPS.len())
         .prop_map(|(exec, deadline, d)| (0.0, exec, deadline + DEADLINE_EPS[d]));
     let future = (
-        (0u8..3, 0usize..7, lattice(1..40), 0usize..EPS_OFFSETS.len()),
+        (0u8..4, 0usize..7, lattice(1..40), 0usize..EPS_OFFSETS.len()),
         lattice(0..24),
         lattice(0..16),
         0usize..DEADLINE_EPS.len(),
@@ -768,53 +782,69 @@ fn lattice_walk_case() -> impl Strategy<Value = WalkCase> {
         lattice(0..64),
         prop::option::of(pinned),
         prop::collection::vec(dense(), 0..7),
-        future,
-        prop::collection::vec(0u32..1000, 8),
+        prop::collection::vec(future, 1..5),
+        prop::collection::vec(0u32..1000, 11),
+        knife(),
     )
-        .prop_map(
-            |(now, pinned, dense, ((anchor, m, offset, e), exec, slack, d), keys)| {
-                let release =
-                    future_release(now, pinned, &dense, (anchor, m, offset, EPS_OFFSETS[e]));
-                WalkCase {
-                    now,
-                    pinned,
-                    dense,
-                    future: (release, exec, release + exec + slack + DEADLINE_EPS[d]),
-                    keys,
-                }
-            },
-        )
+        .prop_map(|(now, pinned, dense, drawn, keys, knife)| {
+            let mut future: Vec<Spec> = Vec::new();
+            for ((anchor, m, offset, e), exec, slack, d) in drawn {
+                let at = (anchor, m, offset, EPS_OFFSETS[e]);
+                let release = future_release(now, pinned, &dense, &future, at);
+                future.push((release, exec, release + exec + slack + DEADLINE_EPS[d]));
+            }
+            WalkCase {
+                now,
+                pinned,
+                dense,
+                future,
+                keys,
+                knife,
+            }
+        })
 }
 
-/// Continuous regime: uniform floats, with the future release computed as
-/// the same float sum the engine's completion instants are made of.
+/// Continuous regime: uniform floats, with future releases computed as the
+/// same float sums the engine's completion instants are made of.
 fn continuous_walk_case() -> impl Strategy<Value = WalkCase> {
     let dense = || (0.0f64..4.0, 0.1f64..20.0).prop_map(|(exec, deadline)| (0.0, exec, deadline));
-    let future = ((0u8..3, 0usize..7, 0.01f64..5.0), 0.0f64..3.0, 0.0f64..2.0);
+    let future = ((0u8..4, 0usize..7, 0.01f64..5.0), 0.0f64..3.0, 0.0f64..2.0);
     (
         0.0f64..100.0,
         prop::option::of(dense()),
         prop::collection::vec(dense(), 0..7),
-        future,
-        prop::collection::vec(0u32..1000, 8),
+        prop::collection::vec(future, 1..5),
+        prop::collection::vec(0u32..1000, 11),
+        knife(),
     )
-        .prop_map(
-            |(now, pinned, dense, ((anchor, m, offset), exec, slack), keys)| {
-                let release = future_release(now, pinned, &dense, (anchor, m, offset, 0.0));
-                WalkCase {
-                    now,
-                    pinned,
-                    dense,
-                    future: (release, exec, release + exec + slack),
-                    keys,
-                }
-            },
-        )
+        .prop_map(|(now, pinned, dense, drawn, keys, knife)| {
+            let mut future: Vec<Spec> = Vec::new();
+            for ((anchor, m, offset), exec, slack) in drawn {
+                let release =
+                    future_release(now, pinned, &dense, &future, (anchor, m, offset, 0.0));
+                future.push((release, exec, release + exec + slack));
+            }
+            WalkCase {
+                now,
+                pinned,
+                dense,
+                future,
+                keys,
+                knife,
+            }
+        })
+}
+
+/// `x` moved by `ulps` units in the last place.
+fn nudge(x: f64, ulps: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
 }
 
 /// Checks one case: on every push-order prefix the timeline's verdict (the
-/// push's and a re-read `feasible()`) equals [`is_schedulable_with`], and no
-/// verdict runs the engine. Returns the full queue's verdict.
+/// push's and a re-read `feasible()`) equals [`is_schedulable_with`], and
+/// no verdict runs the engine. A dense prefix holding a knife-edge deadline
+/// is left out: the demand scan answers it, and the scan matches the engine
+/// only on exact times. Returns the full queue's verdict.
 fn check_walk(case: &WalkCase) -> Result<bool, TestCaseError> {
     let now = Time::new(case.now);
     let job = |key: usize, (release, exec, deadline): Spec| {
@@ -831,21 +861,34 @@ fn check_walk(case: &WalkCase) -> Result<bool, TestCaseError> {
         pinned.pinned = true;
         jobs.push(pinned);
     }
-    for &spec in &case.dense {
+    for &spec in case.dense.iter().chain(&case.future) {
         jobs.push(job(jobs.len(), spec));
     }
-    jobs.push(job(jobs.len(), case.future));
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| (case.keys[i], i));
-    let queue: Vec<PlannedJob> = order.into_iter().map(|i| jobs[i]).collect();
+    let mut queue: Vec<PlannedJob> = order.into_iter().map(|i| jobs[i]).collect();
 
     let kind = ResourceKind::Gpu;
-    let mut timeline = EdfTimeline::new(kind, now);
     let mut scratch = EdfScratch::new();
+    let mut outcomes = Vec::new();
+    let mut knife_edged = vec![false; queue.len()];
+    for &(at, ulps) in &case.knife {
+        let at = at % queue.len();
+        simulate_into(kind, now, &queue, None, &mut scratch, &mut outcomes);
+        if let Some(finish) = outcomes[at].finish {
+            queue[at].deadline = Time::new(nudge(finish.value() - TIME_EPSILON, ulps));
+            knife_edged[at] = true;
+        }
+    }
+
+    let mut timeline = EdfTimeline::new(kind, now);
     let mut engine = true;
     for k in 0..queue.len() {
         let prefix = &queue[..=k];
         let verdict = timeline.push(queue[k]).is_feasible();
+        if !timeline.has_future() && knife_edged[..=k].contains(&true) {
+            continue;
+        }
         engine = is_schedulable_with(kind, now, prefix, &mut scratch);
         prop_assert_eq!(verdict, engine, "push verdict diverged on {:?}", prefix);
         prop_assert_eq!(
@@ -857,12 +900,12 @@ fn check_walk(case: &WalkCase) -> Result<bool, TestCaseError> {
     }
     prop_assert!(
         timeline.has_future(),
-        "the future job must classify as future"
+        "the future jobs must classify as future"
     );
     prop_assert_eq!(
         timeline.engine_verdicts(),
         0,
-        "a single future release never runs the engine"
+        "future releases never run the engine"
     );
     Ok(engine)
 }
@@ -887,12 +930,13 @@ where
     );
 }
 
-/// The single-release walk is the engine's verdict bit for bit on exact
-/// dyadic times straddling every epsilon boundary, with no engine run.
+/// The release-merge walk is the engine's verdict on exact dyadic times
+/// straddling every epsilon boundary, and on deadlines a few ulps off
+/// them, with no engine run.
 #[test]
-fn single_release_walk_matches_engine_on_the_lattice() {
+fn release_walk_matches_engine_on_the_lattice() {
     walk_matches_engine(
-        "incremental.rs::single_release_walk_matches_engine_on_the_lattice",
+        "incremental.rs::release_walk_matches_engine_on_the_lattice",
         &lattice_walk_case(),
         4000,
         0.1,
@@ -901,9 +945,9 @@ fn single_release_walk_matches_engine_on_the_lattice() {
 
 /// As above on continuous times.
 #[test]
-fn single_release_walk_matches_engine_on_continuous_times() {
+fn release_walk_matches_engine_on_continuous_times() {
     walk_matches_engine(
-        "incremental.rs::single_release_walk_matches_engine_on_continuous_times",
+        "incremental.rs::release_walk_matches_engine_on_continuous_times",
         &continuous_walk_case(),
         4000,
         0.1,
@@ -913,7 +957,7 @@ fn single_release_walk_matches_engine_on_continuous_times() {
 /// The fallback ladder's probe pattern from the managers' point of view: a
 /// dense working set plus `k` future-released phantoms, re-probed at rung
 /// `k`, then `k-1`, …, then `0`. On a preemptable resource every one of those
-/// verdicts must come from the incremental trees — zero engine fallbacks —
+/// verdicts must come from the incremental trees — zero engine runs —
 /// while agreeing with the engine and the reference oracle throughout.
 #[test]
 fn phantom_ladder_stays_incremental_on_cpu() {

@@ -3,7 +3,7 @@
 //! future-released phantom) must produce **bit-identical**
 //! [`rtrm_sim::SimReport`]s whether feasibility probes are answered by the
 //! incremental timelines (the segmented demand-criterion sweep on
-//! preemptable resources) or by the pre-incremental memoized engine baseline
+//! preemptable resources) or by the pre-incremental engine baseline
 //! (`oracle_feasibility`). Admissions, placements, energies, gates — all of
 //! it must compare equal, under both managers, on platforms with and without
 //! a GPU.

@@ -20,12 +20,13 @@
 //! inside a run of equal deadlines. Each step also probes a job sized to
 //! the queue's exact slack or one just past it, so a timeline that keeps a
 //! wrong execution time anywhere soon flips a verdict. Both episodes carry
-//! at most one future release at a time — under half the probes on the
-//! climb, and committed now and then on the descent — due soon after its
-//! release and keyed ahead of every dense job: on the GPU it dispatches at
-//! the first completion after its release, so the order of the first run
-//! of equal deadlines decides whether it fits. The GPU episode also holds a
-//! pinned job at the bottom of the stack.
+//! up to three future releases at a time — one to three phantoms behind
+//! half the probes, and one committed now and then on the descent — each
+//! due soon after its release and keyed ahead of every dense job: on the
+//! GPU one dispatches at the first completion after its release, so the
+//! order of the first run of equal deadlines, and the other future jobs,
+//! decide whether it fits. The GPU episode also holds a pinned job at the
+//! bottom of the stack, and must never run the engine for a verdict.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,6 +41,8 @@ const LATTICE: f64 = 0.125;
 const LEVELS: [f64; 4] = [160.0, 320.0, 480.0, 640.0];
 /// Every how many checks the O(n²) reference oracle joins the engine.
 const REFERENCE_EVERY: usize = 96;
+/// The most future releases the queue holds at a time.
+const MAX_FUTURE: usize = 3;
 
 struct Episode {
     kind: ResourceKind,
@@ -97,8 +100,15 @@ impl Episode {
         self.job(release, exec, deadline)
     }
 
+    fn futures(&self) -> usize {
+        self.model
+            .iter()
+            .filter(|j| !j.release.released_by(self.now))
+            .count()
+    }
+
     fn has_future(&self) -> bool {
-        self.model.iter().any(|j| !j.release.released_by(self.now))
+        self.futures() > 0
     }
 
     /// Asserts the timeline against the model after a step that returned
@@ -207,12 +217,18 @@ impl Episode {
     }
 
     /// Probes a dense job at the exact slack of a random level, or a
-    /// lattice step past it, and retracts it. Half the time, when the queue
-    /// holds no future release, the probe goes in behind one, as the
-    /// managers probe a candidate behind a predicted phantom.
+    /// lattice step past it, and retracts it. Half the time the probe goes
+    /// in behind one to three phantoms (as many as [`MAX_FUTURE`] leaves
+    /// room for), as the managers probe a candidate behind predicted
+    /// phantoms and an arrival delayed by prediction overhead.
     fn probe_boundary(&mut self) {
-        let phantom = !self.has_future() && self.rng.gen_bool(0.5);
-        if phantom {
+        let room = MAX_FUTURE - self.futures();
+        let phantoms = if self.rng.gen_bool(0.5) {
+            self.rng.gen_range(1..=MAX_FUTURE).min(room)
+        } else {
+            0
+        };
+        for _ in 0..phantoms {
             let job = self.future_job();
             self.push(job);
         }
@@ -221,8 +237,7 @@ impl Episode {
         let exec = self.slack(level).max(LATTICE) + past;
         let job = self.job(self.now.value(), exec, LEVELS[level]);
         self.push(job);
-        self.undo();
-        if phantom {
+        for _ in 0..=phantoms {
             self.undo();
         }
     }
@@ -237,12 +252,12 @@ impl Episode {
     }
 
     /// One step of a climb (`up`) or a descent: commit or retract a job —
-    /// on the descent now and then the one future release — then probe the
+    /// on the descent now and then a future release — then probe the
     /// boundary.
     fn step(&mut self, up: bool) {
         let grow = self.rng.gen_bool(if up { 0.9 } else { 0.1 });
         if grow {
-            let job = if !up && !self.has_future() && self.rng.gen_bool(0.3) {
+            let job = if !up && self.futures() < MAX_FUTURE && self.rng.gen_bool(0.3) {
                 self.future_job()
             } else {
                 self.dense_job()
@@ -277,7 +292,7 @@ fn drive(kind: ResourceKind, pinned: bool, seed: u64) {
     assert_eq!(
         episode.timeline.engine_verdicts(),
         0,
-        "one future release never runs the engine"
+        "{kind:?}: future releases never run the engine"
     );
 }
 
