@@ -25,9 +25,11 @@ echo "==> full workspace tests (hard 600 s timeout)"
 cargo test -q --workspace --no-run
 timeout 600 cargo test -q --workspace
 
-echo "==> differential suites: incremental EDF timeline + phantom fast path + warm-pool sweep"
+echo "==> differential suites: incremental EDF timeline + phantom fast path + exact search cuts + warm-pool sweep"
 cargo test -q -p rtrm-sched --test incremental
 cargo test -q -p rtrm-core --test phantom_fastpath
+cargo test -q -p rtrm-core --test exact_optimality
+cargo test -q -p rtrm-core --lib -- exact::tests::first_dispatch_cut_is_sound --exact
 cargo test -q -p rtrm-core --test prune_differential
 cargo test -q -p rtrm-core --test warmstart_differential
 cargo test -q -p rtrm-core --test presolve_differential

@@ -37,12 +37,23 @@
 //! Its times are wall ns per request of the cell's simulation (decides
 //! and all), defaults against the cold/unpresolved baseline at the same
 //! budget.
+//!
+//! A third series, `milp_vt_phantom`, runs a VT perfect-phantom cell (160
+//! calibrated VT traces × 125 requests, seed 1, perfect oracle, fig2's
+//! phantom deadline) through the
+//! budgeted manager and through the unbudgeted `ExactRm::new()`, and counts
+//! the traces whose budgeted report (the search's node count aside) differs
+//! from the unbudgeted one: what the 25 000-node budget still changes where
+//! the ladder plans around a phantom released after `now`. Its
+//! `baseline_ns` is the unbudgeted manager's wall ns per request, its
+//! `warm_ns` the budgeted one's.
 
 use rtrm_bench::{workload, Group, Scale};
 use rtrm_core::{Activation, Decision, ExactRm, JobView, ResourceManager, TimelinePool};
 use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
+use rtrm_predict::OraclePredictor;
 use rtrm_sched::JobKey;
-use rtrm_sim::{SimConfig, Simulator};
+use rtrm_sim::{PhantomDeadline, SimConfig, SimReport, Simulator};
 
 /// The resource-count sweep: the scaling axis of `BENCH_platform.json`.
 const RESOURCES: [usize; 3] = [32, 128, 512];
@@ -182,6 +193,41 @@ fn lt_cell(manager: ExactRm) -> (Tally<ExactRm>, f64) {
     (tally, start.elapsed().as_nanos() as f64)
 }
 
+/// Runs `manager` over the VT perfect-phantom cell; returns each trace's
+/// report with its node count cleared, and the run's wall nanoseconds.
+fn vt_phantom_cell(mut manager: ExactRm) -> (Vec<SimReport>, f64) {
+    let scale = Scale {
+        traces: 160,
+        trace_len: 125,
+        seed: 1,
+    };
+    let w = workload(&[Group::Vt], scale);
+    let config = SimConfig {
+        phantom_deadline: PhantomDeadline::MinWcetTimes(Group::Vt.phantom_coefficient()),
+        record_task_log: true,
+        ..SimConfig::default()
+    };
+    let sim = Simulator::new(&w.platform, &w.catalog, config);
+    let start = std::time::Instant::now();
+    let reports: Vec<SimReport> = w.traces[0]
+        .1
+        .iter()
+        .map(|trace| {
+            let mut oracle = OraclePredictor::perfect(trace, w.catalog.len());
+            sim.run(trace, &mut manager, Some(&mut oracle))
+        })
+        .collect();
+    let elapsed = start.elapsed().as_nanos() as f64;
+    let reports = reports
+        .into_iter()
+        .map(|report| SimReport {
+            rm_nodes: 0,
+            ..report
+        })
+        .collect();
+    (reports, elapsed)
+}
+
 /// Mean ns per call over a self-calibrated iteration count.
 fn measure<R>(mut f: impl FnMut() -> R) -> f64 {
     let warmup = std::time::Instant::now();
@@ -268,6 +314,35 @@ fn main() {
         Platform::paper_default().len(),
         warm.decides,
         warm.cut
+    ));
+
+    // The VT perfect-phantom cell: what the budget still changes.
+    let (budgeted, budgeted_total) = vt_phantom_cell(ExactRm::with_node_budget(BUDGET));
+    let (unbudgeted, unbudgeted_total) = vt_phantom_cell(ExactRm::new());
+    // One decide per request.
+    let decides: usize = budgeted.iter().map(|report| report.requests).sum();
+    let differing = budgeted
+        .iter()
+        .zip(&unbudgeted)
+        .filter(|(a, b)| a != b)
+        .count();
+    let (warm_ns, baseline_ns) = (
+        budgeted_total / decides as f64,
+        unbudgeted_total / decides as f64,
+    );
+    let speedup = baseline_ns / warm_ns;
+    println!(
+        "milp scale: series=milp_vt_phantom decides={decides} traces={} \
+         differing={differing} unbudgeted={baseline_ns:.0}ns budgeted={warm_ns:.0}ns \
+         speedup={speedup:.2}x",
+        budgeted.len()
+    );
+    rows.push(format!(
+        "    {{\"series\": \"milp_vt_phantom\", \"depth\": {}, \"decides\": {decides}, \
+         \"traces\": {}, \"differing_traces\": {differing}, \"baseline_ns\": {baseline_ns:.1}, \
+         \"warm_ns\": {warm_ns:.1}, \"speedup\": {speedup:.2}}}",
+        Platform::paper_default().len(),
+        budgeted.len()
     ));
 
     let json = format!(

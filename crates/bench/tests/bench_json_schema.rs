@@ -473,7 +473,10 @@ fn bench_platform_json_schema_is_current() {
 /// the sweeps' 25 000-node exact manager over fig2's LT prediction-off
 /// cell; its bar is on a deterministic count: at most a tenth of the
 /// decides admit from a search the budget cut (0.37 before the search
-/// priced GPU time in its bound).
+/// priced GPU time in its bound). The `milp_vt_phantom` row runs a VT
+/// perfect-phantom cell budgeted and unbudgeted; its bar is on the count
+/// of traces whose budgeted report differs from the unbudgeted one: at
+/// most 0.15 of them (36 of 160 before the first-dispatch cut).
 #[test]
 fn bench_milp_json_schema_is_current() {
     let doc = load("BENCH_milp.json");
@@ -484,7 +487,10 @@ fn bench_milp_json_schema_is_current() {
             .and_then(Json::as_str)
             .expect("row series");
         assert!(
-            matches!(s, "milp_ladder_decide" | "milp_lt_budget"),
+            matches!(
+                s,
+                "milp_ladder_decide" | "milp_lt_budget" | "milp_vt_phantom"
+            ),
             "unknown series {s}"
         );
         assert!(row.get("baseline_ns").and_then(Json::as_f64).unwrap() > 0.0);
@@ -516,6 +522,31 @@ fn bench_milp_json_schema_is_current() {
     assert!(
         share <= 0.1,
         "recorded LT budget-cut share regressed above 0.1: {share}"
+    );
+    let vt = doc
+        .get("results")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .find(|row| row.get("series").and_then(Json::as_str) == Some("milp_vt_phantom"))
+        .expect("missing series milp_vt_phantom");
+    let field = |name: &str| {
+        vt.get(name)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("milp_vt_phantom row lacks {name}"))
+    };
+    assert_eq!(
+        field("decides"),
+        20_000.0,
+        "the VT cell is 160 traces x 125 requests"
+    );
+    let traces = field("traces");
+    assert_eq!(traces, 160.0);
+    let differing = field("differing_traces");
+    assert!(
+        differing <= 0.15 * traces,
+        "recorded VT phantom budget differences regressed above 0.15 of the traces: \
+         {differing} of {traces}"
     );
     for row in doc.get("results").and_then(Json::as_array).unwrap() {
         series.push((

@@ -470,9 +470,11 @@ impl<'a> PlanBuilder<'a> {
     /// starts before the future release and runs past its latest start.
     /// That one is monotone only together with the jobs still to be placed
     /// (dense jobs never wait, so a start moves later only by unassigned
-    /// work with an earlier-or-equal deadline), so the exact search asks
-    /// [`blocked`](PlanBuilder::blocked) after each placement with that
-    /// work as headroom.
+    /// work with an earlier-or-equal deadline), so the exact search reads
+    /// the queue through [`timeline`](PlanBuilder::timeline) after each
+    /// placement and asks [`EdfTimeline::blocked_for_good`] and
+    /// [`EdfTimeline::first_dispatch_blocked`] with what that work can
+    /// still change.
     #[must_use = "an unchecked placement attempt hides an admission failure"]
     pub fn try_place_or_defer(&mut self, job: &JobView, candidate: &Candidate) -> bool {
         let now = self.activation.now;
@@ -494,17 +496,13 @@ impl<'a> PlanBuilder<'a> {
         verdict
     }
 
-    /// Returns `true` if `resource`'s queue misses a deadline however the
-    /// search extends it: [`EdfTimeline::blocked_for_good`] with
-    /// `headroom(d)` bounding the work still-unassigned jobs can put ahead
-    /// of a deadline `d`. Only a non-preemptable queue holding exactly one
-    /// future release can be blocked; `false` on resources this builder
-    /// never touched.
+    /// `resource`'s queue as placed so far, for read-only queries such as
+    /// [`EdfTimeline::blocked_for_good`]; `None` on resources this builder
+    /// never touched (their queue is empty).
     #[must_use]
-    pub fn blocked(&self, resource: ResourceId, headroom: impl FnMut(Time) -> Time) -> bool {
+    pub fn timeline(&self, resource: ResourceId) -> Option<&EdfTimeline> {
         let i = resource.index();
-        self.pool.touched_epoch[i] == self.pool.epoch
-            && self.pool.timelines[i].blocked_for_good(headroom)
+        (self.pool.touched_epoch[i] == self.pool.epoch).then(|| &self.pool.timelines[i])
     }
 
     /// Commits `job` to `candidate`'s resource, splicing it into the

@@ -119,7 +119,11 @@
 //! job that starts before a lone future release and runs past that job's
 //! latest start. [`EdfTimeline::blocked_for_good`] reports it once no
 //! extension within a caller-supplied headroom can move the blocker past
-//! the release.
+//! the release. [`EdfTimeline::first_dispatch_blocked`] reports the
+//! blocking that extensions cannot move at all: when the future job is not
+//! released by `now + B`, some dense job takes the first dispatch, and the
+//! shortest one a caller can still add bounds how soon the future job
+//! starts.
 //!
 //! The differential property suite in `tests/incremental.rs` asserts that
 //! every push/undo sequence agrees on the verdict with a from-scratch
@@ -741,6 +745,70 @@ impl EdfTimeline {
         });
         matches!(blocked, ControlFlow::Break(true))
     }
+
+    /// Returns `true` if a non-preemptable queue holding exactly one
+    /// future-released job `F` and a dense job misses `F`'s deadline however
+    /// later placements extend it, given `shortest(d)`: the shortest exec
+    /// any of those placements can add as a dense job with a deadline no
+    /// later than `d`.
+    ///
+    /// When `F` is not released by `now + B`, the engine's first dispatch
+    /// after the pinned job is a dense job: the first dense row, or one
+    /// placed later with an earlier-or-equal deadline. `F` then finishes no
+    /// earlier than `now + B + min(e_first, shortest(d_first)) + e_F`, and
+    /// past `d_F` (beyond [`TIME_EPSILON`]) that misses in every extension.
+    ///
+    /// `pin` is the exec of a pinned job a later placement may still push
+    /// (the job running on this resource, not yet placed). The queue is
+    /// then blocked only if it fails both without that job, as above, and
+    /// with it: `B` grows by `pin` for the test, and the main demand scan
+    /// behind it (floor `now + B + pin − ε`) must hold, since pushes only
+    /// shrink its gaps. The tests use the engine's own arithmetic and
+    /// predicates, so on exact dyadic times the verdict sits on the
+    /// engine's side of every ε boundary.
+    ///
+    /// Reads only the sorted array: no engine run, and the same answer in
+    /// oracle mode. `false` on preemptable queues and on queues with zero
+    /// or several future releases or no dense job.
+    #[must_use]
+    pub fn first_dispatch_blocked(
+        &self,
+        pin: Option<Time>,
+        shortest: impl FnOnce(Time) -> Time,
+    ) -> bool {
+        let &[future] = self.future_stack.as_slice() else {
+            return false;
+        };
+        if self.kind.is_preemptable() {
+            return false;
+        }
+        debug_assert!(
+            pin.is_none() || self.pinned.is_none(),
+            "at most one job may be pinned per resource"
+        );
+        let f = &self.jobs[future as usize];
+        let base = self.base();
+        // Released by `now + B`, `F` may take the first dispatch itself.
+        if f.release.released_by(Time::new(base)) {
+            return false;
+        }
+        let Some(first) = self.by_deadline.rows.iter().find(|row| !row.future) else {
+            return false;
+        };
+        let misses =
+            |base: f64, exec: f64| !Time::new(base + exec + f.exec.value()).meets(f.deadline);
+        // A shorter first dispatch only starts `F` earlier.
+        if !misses(base, first.exec) {
+            return false;
+        }
+        let exec = first.exec.min(shortest(Time::new(first.deadline)).value());
+        misses(base, exec)
+            && pin.is_none_or(|pin| {
+                let base = base + pin.value();
+                !self.by_deadline.gaps_hold(base - TIME_EPSILON)
+                    || (!f.release.released_by(Time::new(base)) && misses(base, exec))
+            })
+    }
 }
 
 /// Checks the invariant every pushed job's execution time keeps.
@@ -1039,6 +1107,66 @@ mod tests {
             0,
             "the feasible() call above walks the sorted array"
         );
+    }
+
+    #[test]
+    fn first_dispatch_blocks_only_when_no_first_job_leaves_room() {
+        // Released at 2 with latest start 3: the dense job dispatched at 0
+        // runs until 4.
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        tl.insert(j(0, 0.0, 4.0, 20.0));
+        tl.insert(j(1, 2.0, 2.0, 5.0));
+        assert!(tl.first_dispatch_blocked(None, |_| Time::infinity()));
+        assert!(!tl.feasible());
+        // A job due by 20 placed later could take the first dispatch: 3.5
+        // units still start the future job too late, 2.5 do not.
+        assert!(tl.first_dispatch_blocked(None, |_| Time::new(3.5)));
+        assert!(!tl.first_dispatch_blocked(None, |d| if d.value() >= 20.0 {
+            Time::new(2.5)
+        } else {
+            Time::infinity()
+        }));
+        let mut repaired = tl.jobs().to_vec();
+        repaired.push(j(2, 0.0, 2.5, 19.0));
+        assert!(is_schedulable(ResourceKind::Gpu, T0, &repaired));
+        // A pinned job of 2 units still to come releases the future job at
+        // its completion, which then dispatches first.
+        assert!(!tl.first_dispatch_blocked(Some(Time::new(2.0)), |_| Time::infinity()));
+        let mut running = j(3, 0.0, 2.0, 30.0);
+        running.pinned = true;
+        let mut repaired = tl.jobs().to_vec();
+        repaired.push(running);
+        assert!(is_schedulable(ResourceKind::Gpu, T0, &repaired));
+        // One of 1.5 does not.
+        assert!(tl.first_dispatch_blocked(Some(Time::new(1.5)), |_| Time::infinity()));
+        assert_eq!(tl.engine_verdicts(), 0);
+    }
+
+    #[test]
+    fn first_dispatch_scans_demand_behind_a_pinned_job_to_come() {
+        // Without the pinned job the dense job dispatches at 0 and the
+        // future job (released at 0.5, due at 2.5) finishes at 3 at best.
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        tl.insert(j(0, 0.0, 2.0, 4.0 - 0.5 * TIME_EPSILON));
+        tl.insert(j(1, 0.5, 1.0, 2.5));
+        assert!(tl.first_dispatch_blocked(None, |_| Time::infinity()));
+        // With one unit pinned first, the future job runs [1, 2) and the
+        // dense one [2, 4], within epsilon of its deadline: the demand scan
+        // behind the pinned job holds on its ε boundary.
+        assert!(!tl.first_dispatch_blocked(Some(Time::new(1.0)), |_| Time::infinity()));
+        let mut running = j(2, 0.0, 1.0, 30.0);
+        running.pinned = true;
+        let mut extended = tl.jobs().to_vec();
+        extended.push(running);
+        assert!(is_schedulable(ResourceKind::Gpu, T0, &extended));
+        // Due at 3.5 instead, the dense job misses behind both.
+        let mut tl = EdfTimeline::new(ResourceKind::Gpu, T0);
+        tl.insert(j(0, 0.0, 2.0, 3.5));
+        tl.insert(j(1, 0.5, 1.0, 2.5));
+        assert!(tl.first_dispatch_blocked(Some(Time::new(1.0)), |_| Time::infinity()));
+        extended = tl.jobs().to_vec();
+        extended.push(running);
+        assert!(!is_schedulable(ResourceKind::Gpu, T0, &extended));
     }
 
     #[test]
