@@ -62,6 +62,11 @@ git diff --exit-code -- results/sec52.csv
 echo "==> BENCH_*.json schema sanity"
 cargo test -q -p rtrm-bench --test bench_json_schema
 
+echo "==> milp_scale --ladder-only: the seeded ladder decide stays >= 3x cold at 128 and 512 resources"
+# The schema test checks the recorded BENCH_milp.json only; this reruns the
+# ladder rows (a few seconds, no file written) and exits non-zero below the bar.
+cargo run --release -q -p rtrm-bench --bin milp_scale -- --ladder-only
+
 echo "==> perfbench: the benchmark's own tests (a separate cargo workspace)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 

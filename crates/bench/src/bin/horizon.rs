@@ -3,9 +3,10 @@
 //! both managers, with the no-phantom decision as the baseline. Asserts the
 //! fast-path invariant along the way: at every depth, every probe is
 //! answered by the incremental timelines, with zero engine verdicts across
-//! the pool. The fixture never puts two phantoms in one GPU queue; the
-//! GPU's multi-release walk is guarded by `tests/deep_timeline.rs` and
-//! `crates/core/tests/phantom_fastpath.rs` instead. Records
+//! the pool. As in fig5's catalog, the GPU is the cheapest resource, so
+//! every multi-phantom row's winning plan queues two or more phantoms on
+//! the GPU (asserted): its verdicts come from the timeline's multi-release
+//! walk, and the `engine_verdicts` column guards that walk. Records
 //! `BENCH_horizon.json` at the workspace root (see README, "Performance");
 //! run in release:
 //!
@@ -20,7 +21,7 @@
 use rtrm_core::{
     Activation, ExactRm, HeuristicRm, JobView, Placement, ResourceManager, TimelinePool,
 };
-use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType, TaskTypeId, Time};
+use rtrm_platform::{Energy, Platform, ResourceKind, TaskCatalog, TaskType, TaskTypeId, Time};
 use rtrm_sched::JobKey;
 
 /// The horizon-depth sweep: the legacy single phantom, then deeper rungs.
@@ -31,7 +32,8 @@ const ACTIVE: usize = 16;
 
 /// A paper-scale platform — five CPUs mixing DVFS ladders plus one GPU, so
 /// the preemptable/run-to-completion split is real — and one universally
-/// executable type with a deterministic, non-trivial energy landscape.
+/// executable type with a deterministic, non-trivial energy landscape over
+/// the CPUs, cheapest on the GPU.
 fn world() -> (Platform, TaskCatalog) {
     let mut builder = Platform::builder();
     for i in 0..5 {
@@ -45,7 +47,12 @@ fn world() -> (Platform, TaskCatalog) {
     let platform = builder.build();
     let mut b = TaskType::builder(0, &platform);
     for (i, r) in platform.ids().enumerate() {
-        let energy = 3.0 + ((i * 7) % 13) as f64 * 0.5;
+        let energy = if platform.resource(r).kind().is_preemptable() {
+            3.0 + ((i * 7) % 13) as f64 * 0.5
+        } else {
+            // Below every CPU level's `energy · speed²` (at least 0.22).
+            0.125
+        };
         b.profile(r, Time::new(4.0), Energy::new(energy));
     }
     let ty = b
@@ -55,7 +62,8 @@ fn world() -> (Platform, TaskCatalog) {
 }
 
 /// A synthetic activation at depth [`ACTIVE`]: loosely placed active jobs
-/// spread over the platform, one fresh arrival, and `k` genuinely future
+/// spread over the platform (one of them running on the GPU), one fresh
+/// arrival, and `k` genuinely future
 /// phantoms with staggered releases (so every rung of the fallback ladder
 /// has future work to defer).
 fn fixture(platform: &Platform, k: usize) -> (Vec<JobView>, JobView, Vec<JobView>) {
@@ -69,10 +77,17 @@ fn fixture(platform: &Platform, k: usize) -> (Vec<JobView>, JobView, Vec<JobView
                 now,
                 now + Time::new(4.0 * slack),
             );
+            let resource = rtrm_platform::ResourceId::new(i % platform.len());
+            // One job runs on the GPU; a later one placed there waits.
+            let started = platform.resource(resource).kind().is_preemptable() || i < platform.len();
             job.placement = Some(Placement {
-                resource: rtrm_platform::ResourceId::new(i % platform.len()),
-                remaining_fraction: 0.5 + 0.4 * ((i % 5) as f64 / 5.0),
-                started: true,
+                resource,
+                remaining_fraction: if started {
+                    0.5 + 0.4 * ((i % 5) as f64 / 5.0)
+                } else {
+                    1.0
+                },
+                started,
                 speed: 1.0,
             });
             job
@@ -115,6 +130,10 @@ fn measure<R>(mut f: impl FnMut() -> R) -> f64 {
 
 fn main() {
     let (platform, catalog) = world();
+    let gpu = platform
+        .ids_of_kind(ResourceKind::Gpu)
+        .next()
+        .expect("one GPU");
     let mut rows = Vec::new();
     let mut push_row = |series: &str, depth: usize, baseline_ns: f64, decide_ns: f64| {
         let ratio = decide_ns / baseline_ns;
@@ -174,6 +193,17 @@ fn main() {
                 pool.engine_verdicts(),
                 0,
                 "{series} k={k}: a probe left the incremental fast path"
+            );
+            // The pool's last builder placed the winning plan.
+            let decision = manager.decide_with_pool(&activation, &mut pool);
+            let future_on_gpu = pool.timelines()[gpu.index()]
+                .jobs()
+                .iter()
+                .filter(|job| !job.release.released_by(Time::ZERO))
+                .count();
+            assert!(
+                decision.used_prediction && future_on_gpu >= k.min(2),
+                "{series} k={k}: the plan queues {future_on_gpu} phantoms on the GPU"
             );
             push_row(series, k, baseline_ns, decide_ns);
         }

@@ -8,6 +8,12 @@
 //! cargo run --release -p rtrm-bench --bin milp_scale
 //! ```
 //!
+//! With `--ladder-only` it runs the `milp_ladder_decide` rows alone (a few
+//! seconds), writes no file, and exits 1 when the speedup at 128 or 512
+//! resources falls below [`LADDER_BAR`], the bar `bench_json_schema.rs`
+//! holds the recorded file to; `ci.sh` runs it so, since the warm start's
+//! seed is what the speedup measures.
+//!
 //! The fixture is adversarial for a cold depth-first search and friendly to
 //! the paper's regret heuristic — the regime warm starts are for. Resources
 //! come in pairs of tasks (A, B) contending for one shared slot `r`:
@@ -130,6 +136,9 @@ fn fixture(m: usize) -> (Vec<JobView>, JobView, Vec<JobView>) {
 /// The sweeps' exact-manager budget.
 const BUDGET: u64 = 25_000;
 
+/// The least `milp_ladder_decide` speedup at 128 and 512 resources.
+const LADDER_BAR: f64 = 3.0;
+
 /// Wraps a manager and tallies its decisions: count, nodes, and admitted
 /// decisions whose search reached [`BUDGET`].
 struct Tally<M> {
@@ -245,18 +254,16 @@ fn measure<R>(mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn main() {
-    let mut rows = Vec::new();
-    let mut push_row = |series: &str, resources: usize, baseline_ns: f64, warm_ns: f64| {
-        let speedup = baseline_ns / warm_ns;
-        println!(
-            "milp scale: series={series} resources={resources:>4} \
-             cold={baseline_ns:.0}ns warm={warm_ns:.0}ns speedup={speedup:.2}x"
-        );
-        rows.push(format!(
-            "    {{\"series\": \"{series}\", \"depth\": {resources}, \"baseline_ns\": \
-             {baseline_ns:.1}, \"warm_ns\": {warm_ns:.1}, \"speedup\": {speedup:.2}}}"
-        ));
+    let ladder_only = match std::env::args().nth(1).as_deref() {
+        None => false,
+        Some("--ladder-only") => true,
+        Some(other) => {
+            eprintln!("milp_scale: unknown argument {other:?} (expected --ladder-only)");
+            std::process::exit(2);
+        }
     };
+    let mut rows = Vec::new();
+    let mut below_bar = Vec::new();
 
     // The MILP-series ladder (ExactRm, the exact backend the simulator
     // runs): defaults (warm start + presolve) vs both disabled.
@@ -283,7 +290,28 @@ fn main() {
             ..ExactRm::default()
         };
         let baseline_ns = measure(|| cold.decide_with_pool(&activation, &mut cold_pool));
-        push_row("milp_ladder_decide", m, baseline_ns, warm_ns);
+        let speedup = baseline_ns / warm_ns;
+        println!(
+            "milp scale: series=milp_ladder_decide resources={m:>4} \
+             cold={baseline_ns:.0}ns warm={warm_ns:.0}ns speedup={speedup:.2}x"
+        );
+        rows.push(format!(
+            "    {{\"series\": \"milp_ladder_decide\", \"depth\": {m}, \"baseline_ns\": \
+             {baseline_ns:.1}, \"warm_ns\": {warm_ns:.1}, \"speedup\": {speedup:.2}}}"
+        ));
+        if m >= 128 && speedup < LADDER_BAR {
+            below_bar.push(format!("{speedup:.2}x at {m} resources"));
+        }
+    }
+    if ladder_only {
+        if !below_bar.is_empty() {
+            eprintln!(
+                "milp_scale: milp_ladder_decide below {LADDER_BAR}x: {}",
+                below_bar.join(", ")
+            );
+            std::process::exit(1);
+        }
+        return;
     }
 
     // The budget-bound LT cell: deterministic search work of the defaults,

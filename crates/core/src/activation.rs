@@ -6,7 +6,7 @@ use rtrm_platform::{Energy, Platform, PlatformIndex, ResourceId, ResourceKind, T
 use rtrm_sched::{simulate_into, EdfScratch, EdfTimeline, JobKey, JobOutcome, PlannedJob};
 
 use crate::cost::Candidate;
-use crate::exact::{GpuPrice, Lookahead};
+use crate::exact::ExactBuffers;
 use crate::prune::{CandidateTable, PruneStats};
 use crate::view::JobView;
 
@@ -188,6 +188,43 @@ pub trait ResourceManager {
     }
 }
 
+/// One persistent [`EdfTimeline`] per resource, reset lazily per builder,
+/// with the scratch buffers of the reservation-gate replays: everything one
+/// [`PlanBuilder`] plans in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TimelineSet {
+    /// When `true`, timelines run in oracle mode: every feasibility probe is
+    /// a from-scratch engine run — the pre-incremental baseline, kept
+    /// callable for benchmarks and differential tests.
+    oracle: bool,
+    /// One timeline per resource, reset (not reallocated) per builder.
+    timelines: Vec<EdfTimeline>,
+    /// Outcome buffer for [`PlanBuilder::reservation_gates`].
+    outcomes: Vec<JobOutcome>,
+    /// EDF engine state for the gate replays.
+    edf: EdfScratch,
+    /// Builder generation. A timeline is only reset (and only *iterated* by
+    /// whole-plan reads) when its `touched_epoch` entry matches the current
+    /// epoch — so a builder over a 512-resource platform that places jobs on
+    /// a handful of resources does O(touched) work, not O(platform).
+    epoch: u64,
+    /// Per-resource epoch of the last touch. `0` = never touched (epochs
+    /// start at 1).
+    touched_epoch: Vec<u64>,
+    /// Resources touched by the current builder, in first-touch order — the
+    /// shard the whole-plan reads iterate.
+    touched: Vec<ResourceId>,
+}
+
+impl TimelineSet {
+    fn engine_verdicts(&self) -> u64 {
+        self.timelines
+            .iter()
+            .map(EdfTimeline::engine_verdicts)
+            .sum()
+    }
+}
+
 /// Reusable state backing [`PlanBuilder`]s: one persistent [`EdfTimeline`]
 /// per resource plus scratch buffers for the reservation-gate replays.
 ///
@@ -203,44 +240,21 @@ pub trait ResourceManager {
 /// verdicts: [`PlanBuilder::new`] resets every timeline it touches.
 #[derive(Debug, Clone, Default)]
 pub struct TimelinePool {
-    /// When `true`, timelines run in oracle mode: every feasibility probe is
-    /// a from-scratch engine run — the pre-incremental baseline, kept
-    /// callable for benchmarks and differential tests.
-    oracle: bool,
-    /// One timeline per resource, reset (not reallocated) per builder.
-    timelines: Vec<EdfTimeline>,
-    /// Outcome buffer for [`PlanBuilder::reservation_gates`].
-    outcomes: Vec<JobOutcome>,
-    /// EDF engine state for the gate replays.
-    edf: EdfScratch,
-    /// Builder generation. A timeline is only reset (and only *iterated* by
-    /// whole-plan reads) when its [`touched_epoch`](TimelinePool) entry
-    /// matches the current epoch — so a builder over a 512-resource platform
-    /// that places jobs on a handful of resources does O(touched) work, not
-    /// O(platform).
-    epoch: u64,
-    /// Per-resource epoch of the last touch. `0` = never touched (epochs
-    /// start at 1).
-    touched_epoch: Vec<u64>,
-    /// Resources touched by the current builder, in first-touch order — the
-    /// shard the whole-plan reads iterate.
-    touched: Vec<ResourceId>,
+    /// The timelines every [`PlanBuilder::new`] plans in.
+    pub(crate) plans: TimelineSet,
+    /// A second set, in which [`ExactRm`](crate::ExactRm) plans a rung's
+    /// heuristic seed while the rung's own search holds `plans`.
+    pub(crate) seeds: TimelineSet,
+    /// Heuristic seeds the exact managers planned, cumulative.
+    pub(crate) seeds_planned: u64,
     /// Ranked placement rows for fresh jobs, installed per run via
     /// [`ensure_index`](TimelinePool::ensure_index); `None` falls back to
     /// per-decide row materialization (identical decisions).
     index: Option<PlatformIndex>,
     /// Recycled per-decide candidate table for the pruned decide path.
     table: CandidateTable,
-    /// Recycled restart-free table, built as
-    /// [`HeuristicRm`](crate::HeuristicRm) builds its own so that
-    /// [`ExactRm`](crate::ExactRm)'s warm seeds and both exact managers'
-    /// heuristic floors run the pruned heuristic on this pool. Its counters
-    /// stay out of [`prune_stats`](TimelinePool::prune_stats).
-    seed_table: CandidateTable,
-    /// Recycled per-rung look-ahead of the exact search's blocking cut.
-    pub(crate) lookahead: Lookahead,
-    /// Recycled buffers of the exact search's capacity bound.
-    pub(crate) price: GpuPrice,
+    /// Recycled rows and per-rung buffers of the exact search.
+    pub(crate) exact: ExactBuffers,
 }
 
 impl TimelinePool {
@@ -257,27 +271,35 @@ impl TimelinePool {
     /// so the pool's mode always matches the manager's own
     /// `oracle_feasibility` flag, whichever pool it is handed.
     pub fn set_oracle(&mut self, oracle: bool) {
-        self.oracle = oracle;
+        self.plans.oracle = oracle;
+        self.seeds.oracle = oracle;
     }
 
     /// The per-resource timelines currently held by the pool (shorter than
     /// the platform until the first [`PlanBuilder::new`] sizes it).
     #[must_use]
     pub fn timelines(&self) -> &[EdfTimeline] {
-        &self.timelines
+        &self.plans.timelines
     }
 
     /// Total feasibility verdicts the pool's timelines answered with the
-    /// from-scratch engine instead of the sorted arrays: 0 outside oracle
-    /// mode. Diagnostics: tests assert that no probe — phantoms and delayed
-    /// arrivals included, on either resource kind — routes through the
-    /// engine.
+    /// from-scratch engine instead of the sorted arrays, the exact search's
+    /// seed timelines included: 0 outside oracle mode. Diagnostics: tests
+    /// assert that no probe — phantoms and delayed arrivals included, on
+    /// either resource kind — routes through the engine.
     #[must_use]
     pub fn engine_verdicts(&self) -> u64 {
-        self.timelines
-            .iter()
-            .map(EdfTimeline::engine_verdicts)
-            .sum()
+        self.plans.engine_verdicts() + self.seeds.engine_verdicts()
+    }
+
+    /// Heuristic seeds [`ExactRm`](crate::ExactRm) planned in this pool,
+    /// cumulative: one per rung whose search outlived its first descent
+    /// without an incumbent (see [`ExactRm::warm_start`](crate::ExactRm)).
+    /// Not part of [`prune_stats`](TimelinePool::prune_stats), which counts
+    /// the decide's own table only.
+    #[must_use]
+    pub fn seeds_planned(&self) -> u64 {
+        self.seeds_planned
     }
 
     /// Installs (or refreshes) the [`PlatformIndex`] for this world,
@@ -311,7 +333,7 @@ impl TimelinePool {
 
     /// Cumulative pruned-path behaviour counters (table rebuilds, row
     /// storage kinds, shortlist widenings) of the decide's own table; the
-    /// exact managers' seed table is not counted.
+    /// exact managers' seed and floor scans are not counted.
     #[must_use]
     pub fn prune_stats(&self) -> PruneStats {
         self.table.stats()
@@ -325,14 +347,7 @@ impl TimelinePool {
         std::mem::take(&mut self.table)
     }
 
-    /// Moves the recycled seed table out, like
-    /// [`take_table`](TimelinePool::take_table); return it with
-    /// [`restore_seed_table`](TimelinePool::restore_seed_table).
-    pub(crate) fn take_seed_table(&mut self) -> CandidateTable {
-        std::mem::take(&mut self.seed_table)
-    }
-
-    /// Moves the cached index out alongside the tables; return it with
+    /// Moves the cached index out alongside the table; return it with
     /// [`restore_index`](TimelinePool::restore_index).
     pub(crate) fn take_index(&mut self) -> Option<PlatformIndex> {
         self.index.take()
@@ -341,12 +356,6 @@ impl TimelinePool {
     /// Returns the table taken at the start of a decide.
     pub(crate) fn restore_table(&mut self, table: CandidateTable) {
         self.table = table;
-    }
-
-    /// Returns the seed table moved out by
-    /// [`take_seed_table`](TimelinePool::take_seed_table).
-    pub(crate) fn restore_seed_table(&mut self, table: CandidateTable) {
-        self.seed_table = table;
     }
 
     /// Returns the index moved out by
@@ -377,7 +386,7 @@ impl TimelinePool {
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     activation: &'a Activation<'a>,
-    pool: &'a mut TimelinePool,
+    set: &'a mut TimelineSet,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -394,33 +403,38 @@ impl<'a> PlanBuilder<'a> {
     /// the touched shard.
     #[must_use]
     pub fn new(activation: &'a Activation<'a>, pool: &'a mut TimelinePool) -> Self {
-        while pool.timelines.len() < activation.platform.len() {
-            pool.timelines
+        PlanBuilder::in_set(activation, &mut pool.plans)
+    }
+
+    /// Like [`new`](PlanBuilder::new), in one given timeline set of a pool.
+    pub(crate) fn in_set(activation: &'a Activation<'a>, set: &'a mut TimelineSet) -> Self {
+        while set.timelines.len() < activation.platform.len() {
+            set.timelines
                 .push(EdfTimeline::new(ResourceKind::Cpu, activation.now));
         }
-        if pool.touched_epoch.len() < pool.timelines.len() {
-            pool.touched_epoch.resize(pool.timelines.len(), 0);
+        if set.touched_epoch.len() < set.timelines.len() {
+            set.touched_epoch.resize(set.timelines.len(), 0);
         }
-        pool.epoch += 1;
-        pool.touched.clear();
-        PlanBuilder { activation, pool }
+        set.epoch += 1;
+        set.touched.clear();
+        PlanBuilder { activation, set }
     }
 
     /// Resets `r`'s timeline on this builder's first touch of it and tracks
     /// it in the touched shard; every timeline access routes through here.
     fn prepare(&mut self, r: ResourceId) -> &mut EdfTimeline {
         let i = r.index();
-        if self.pool.touched_epoch[i] != self.pool.epoch {
-            self.pool.touched_epoch[i] = self.pool.epoch;
-            self.pool.touched.push(r);
-            let timeline = &mut self.pool.timelines[i];
+        if self.set.touched_epoch[i] != self.set.epoch {
+            self.set.touched_epoch[i] = self.set.epoch;
+            self.set.touched.push(r);
+            let timeline = &mut self.set.timelines[i];
             timeline.reset(
                 self.activation.platform.resource(r).kind(),
                 self.activation.now,
             );
-            timeline.set_oracle(self.pool.oracle);
+            timeline.set_oracle(self.set.oracle);
         }
-        &mut self.pool.timelines[i]
+        &mut self.set.timelines[i]
     }
 
     /// The [`PlannedJob`] a (job, candidate) pair contributes to a resource
@@ -502,7 +516,7 @@ impl<'a> PlanBuilder<'a> {
     #[must_use]
     pub fn timeline(&self, resource: ResourceId) -> Option<&EdfTimeline> {
         let i = resource.index();
-        (self.pool.touched_epoch[i] == self.pool.epoch).then(|| &self.pool.timelines[i])
+        (self.set.touched_epoch[i] == self.set.epoch).then(|| &self.set.timelines[i])
     }
 
     /// Commits `job` to `candidate`'s resource, splicing it into the
@@ -528,10 +542,10 @@ impl<'a> PlanBuilder<'a> {
     pub fn unplace_last(&mut self, resource: ResourceId) {
         let i = resource.index();
         debug_assert_eq!(
-            self.pool.touched_epoch[i], self.pool.epoch,
+            self.set.touched_epoch[i], self.set.epoch,
             "unplace_last on a resource this builder never placed a job on"
         );
-        let _ = self.pool.timelines[i].undo();
+        let _ = self.set.timelines[i].undo();
     }
 
     /// Number of jobs currently placed on `resource` (0 for resources this
@@ -540,8 +554,8 @@ impl<'a> PlanBuilder<'a> {
     #[must_use]
     pub fn load(&self, resource: ResourceId) -> usize {
         let i = resource.index();
-        if self.pool.touched_epoch[i] == self.pool.epoch {
-            self.pool.timelines[i].len()
+        if self.set.touched_epoch[i] == self.set.epoch {
+            self.set.timelines[i].len()
         } else {
             0
         }
@@ -552,10 +566,10 @@ impl<'a> PlanBuilder<'a> {
     /// shard: untouched resources are empty, hence trivially schedulable.
     #[must_use]
     pub fn all_schedulable(&mut self) -> bool {
-        let PlanBuilder { pool, .. } = self;
-        pool.touched
+        let PlanBuilder { set, .. } = self;
+        set.touched
             .iter()
-            .all(|r| pool.timelines[r.index()].feasible())
+            .all(|r| set.timelines[r.index()].feasible())
     }
 
     /// Planned start times of the real jobs sharing a phantom's resource,
@@ -568,22 +582,22 @@ impl<'a> PlanBuilder<'a> {
     #[must_use]
     pub fn reservation_gates(&mut self, phantoms: &[JobKey]) -> Vec<(JobKey, Time)> {
         let mut gates = Vec::new();
-        let PlanBuilder { activation, pool } = self;
+        let PlanBuilder { activation, set } = self;
         // Only touched resources can hold a phantom; sorted so gate order
         // matches the legacy platform-order iteration.
-        let mut shard: Vec<ResourceId> = pool
+        let mut shard: Vec<ResourceId> = set
             .touched
             .iter()
             .copied()
             .filter(|&r| !activation.platform.resource(r).kind().is_preemptable())
             .collect();
         shard.sort_unstable();
-        let TimelinePool {
+        let TimelineSet {
             timelines,
             edf,
             outcomes,
             ..
-        } = &mut **pool;
+        } = &mut **set;
         for resource in shard {
             let kind = activation.platform.resource(resource).kind();
             let queue = timelines[resource.index()].jobs();

@@ -71,16 +71,27 @@
 //! unbudgeted search returns the same plan; a budgeted one reaches more
 //! plans before its budget. Rungs with several future releases keep the
 //! demand bound alone.
+//!
+//! Warm seeds: a rung's search starts cold and, the first time it has
+//! spent more nodes than the rung has jobs, plans the regret heuristic's
+//! plan once and injects it as an incumbent that only prunes
+//! ([`ExactRm::warm_start`]). The seed scans the decide's one
+//! [`CandidateTable`], the rows the search reads, and plans in the
+//! [`TimelinePool`]'s second timeline set while the search holds the first.
+//! The search's rows, branch keys, presolve scratch and per-rung buffers
+//! are refilled in the pool's `ExactBuffers` on every decide.
 
 use std::time::{Duration, Instant};
 
 use rtrm_platform::{Energy, Platform, PlatformIndex, ResourceId, Time, TIME_EPSILON};
 
-use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
+use crate::activation::{
+    Activation, Decision, PlanBuilder, ResourceManager, TimelinePool, TimelineSet,
+};
 use crate::cost::{candidates, Candidate};
 use crate::driver::{decide_with_fallback_tracked, Attempt, Plan};
 use crate::heuristic::HeuristicRm;
-use crate::prune::CandidateTable;
+use crate::prune::{CandidateTable, RowSink};
 use crate::view::JobView;
 
 /// Exact energy-optimal mapping via branch & bound (the paper's "MILP"
@@ -89,12 +100,12 @@ use crate::view::JobView;
 pub struct ExactRm {
     /// Maximum branch & bound nodes per activation. When exhausted, the best
     /// plan found so far (if any) is used — an "anytime" cut-off that keeps
-    /// worst-case activations bounded. A warm-started rung whose injected
-    /// incumbent was never replaced reruns cold on exhaustion, so the
-    /// anytime result is the cold search's either way (at up to twice the
-    /// node spend, which the reported [`Decision::nodes`] includes). The
-    /// default is high enough that the paper-scale experiments in this
-    /// repository never hit it.
+    /// worst-case activations bounded. A rung whose injected seed (see
+    /// [`warm_start`](ExactRm::warm_start)) was never replaced reruns cold
+    /// on exhaustion, so the anytime result is then the cold search's (at
+    /// up to twice the node spend, which the reported [`Decision::nodes`]
+    /// includes). The default is high enough that the paper-scale
+    /// experiments in this repository never hit it.
     pub node_budget: u64,
     /// Offer "abort and re-queue on the same GPU" (see
     /// [`candidates`](crate::candidates)). Enabled by default; Fig 1's
@@ -117,25 +128,35 @@ pub struct ExactRm {
     /// [`CandidateTable`] rows. Decisions are identical; this is the
     /// pre-pruning baseline, kept for benchmarks and differential tests.
     pub unpruned_candidates: bool,
-    /// Seed every rung's branch & bound with the heuristic's plan as a
-    /// starting incumbent (enabled by default). The injected incumbent
-    /// prunes with the *exact* bound — no tolerance slack — and an equally
-    /// good search-discovered leaf replaces it, so decisions are
-    /// bit-identical to a cold search (`warmstart_differential.rs`); only
-    /// the node count shrinks. If a binding [`node_budget`] cuts the search
-    /// while the incumbent is still injected, the rung reruns cold and
-    /// returns the cold anytime result — the seed never surfaces as the
-    /// answer and admission never degrades below the cold baseline.
-    /// Disable for the cold A/B baseline.
+    /// Seed each rung's branch & bound with the heuristic's plan as an
+    /// incumbent, on demand (enabled by default). A rung's search starts
+    /// cold; the first time it has spent more nodes than the rung has jobs
+    /// (it outlived its first descent, the point at which the capacity
+    /// bound is built too), it plans the seed once and injects it when it
+    /// is cheaper than the incumbent so far. Searches that settle within
+    /// their first descent, and rungs cut near the root, plan none.
     ///
-    /// The seed is the pruned heuristic's plan for the rung
-    /// (`HeuristicRm::solve_with_table`). It scans a second, restart-free
-    /// [`CandidateTable`] that the decide builds once with the parameters of
-    /// [`HeuristicRm`]'s own decide and recycles in the [`TimelinePool`],
-    /// and it plans in the decide's own pool, so its feasibility probes
-    /// count in [`TimelinePool::engine_verdicts`]. The heuristic floor is
-    /// planned the same way. Only the [`unpruned_candidates`] reference
-    /// path seeds from the legacy unpruned heuristic on a fresh pool.
+    /// The injected incumbent prunes with the *exact* bound — no tolerance
+    /// slack — and an equally good search-discovered leaf replaces it, so
+    /// decisions are bit-identical to a cold search
+    /// (`warmstart_differential.rs`); only the node count shrinks. If the
+    /// seed survives un-replaced — a binding [`node_budget`] cut the search
+    /// first, or float rounding of the strict bound cut the seed's own
+    /// path — the rung reruns cold and returns the cold result: the seed
+    /// never surfaces as the answer and admission never degrades below the
+    /// cold baseline. Disable for the cold A/B baseline.
+    ///
+    /// The seed is the pruned heuristic's plan for the rung. It scans the
+    /// decide's own [`CandidateTable`] — the search's rows — skipping each
+    /// job's restarts in place and weighing penalties with the table's
+    /// restart-free prefix maximum, so it equals the plan [`HeuristicRm`]'s
+    /// own decide would make. It plans in the [`TimelinePool`]'s second
+    /// timeline set, which the search's own builder leaves free, so its
+    /// feasibility probes count in [`TimelinePool::engine_verdicts`] and
+    /// the seeds in [`TimelinePool::seeds_planned`]. The heuristic floor
+    /// scans the same table. Only the [`unpruned_candidates`] reference
+    /// path seeds from the legacy unpruned heuristic on a fresh pool,
+    /// through the same trigger.
     ///
     /// [`node_budget`]: ExactRm::node_budget
     /// [`unpruned_candidates`]: ExactRm::unpruned_candidates
@@ -188,32 +209,10 @@ impl ExactRm {
         }
     }
 
-    /// Materializes every job's deadline-filtered candidate list from the
-    /// shared pre-sorted [`CandidateTable`] (filter-after-stable-sort equals
-    /// the legacy sort-after-filter). The deadline bound `t_left` does not
-    /// depend on the fallback rung, so this runs *once per decide* and each
-    /// rung slices the prefix of `n_real + k` rows.
-    fn rung_rows(
-        &self,
-        activation: &Activation<'_>,
-        table: &mut CandidateTable,
-        index: Option<&PlatformIndex>,
-    ) -> Vec<Vec<Candidate>> {
-        let now = activation.now;
-        let (jobs, rows) = table.parts();
-        (0..jobs.len())
-            .map(|j| {
-                let tleft = jobs[j].time_left(now);
-                let mut cs = Vec::with_capacity(rows.row_len(j, index));
-                rows.filtered_into(j, tleft, index, &mut cs);
-                cs
-            })
-            .collect()
-    }
-
     /// The pre-pruning rung solve: rebuilds, filters, and sorts every
     /// candidate list per rung, and seeds from the unpruned heuristic on a
-    /// fresh pool. Kept verbatim as the differential/bench baseline.
+    /// fresh pool. Kept verbatim as the differential/bench baseline; its
+    /// seed is asked for on demand as the pruned path's is.
     fn solve_unpruned(
         &self,
         activation: &Activation<'_>,
@@ -254,16 +253,22 @@ impl ExactRm {
         if self.presolve {
             drop_dominated_rows(&mut cand, activation.platform.len());
         }
+        let TimelinePool {
+            plans,
+            seeds_planned,
+            exact,
+            ..
+        } = pool;
         // The rows are this rung's own, so are the capacity bound's lines.
-        pool.price.lines.clear();
-        let seed = if self.warm_start {
+        exact.rung.price.lines.clear();
+        let oracle = self.oracle_feasibility;
+        let mut seed = || {
+            *seeds_planned += 1;
             let mut warm_pool = TimelinePool::new();
-            warm_pool.set_oracle(self.oracle_feasibility);
+            warm_pool.set_oracle(oracle);
             HeuristicRm::new()
                 .solve_unpruned_with_chosen(activation, num_phantoms, &mut warm_pool)
                 .map(|(_, chosen)| chosen.into_iter().map(Some).collect())
-        } else {
-            None
         };
         self.branch_and_bound(
             activation,
@@ -272,8 +277,9 @@ impl ExactRm {
             &jobs,
             &cand,
             &keys,
-            seed,
-            pool,
+            self.warm_start.then_some(&mut seed as &mut Seeder<'_>),
+            plans,
+            &mut exact.rung,
         )
     }
 
@@ -281,8 +287,9 @@ impl ExactRm {
     /// extraction — identical for both candidate sources. `keys` carries the
     /// per-job (candidate count, energy spread) branching keys, measured on
     /// the pre-dominance rows so presolved and unpresolved runs agree.
-    /// `seed` is the heuristic's job-indexed plan for this rung, the warm
-    /// start's injected incumbent (`None` runs cold).
+    /// `seeder` plans the heuristic's job-indexed plan for this rung, the
+    /// warm start's injected incumbent, when the search asks for it (`None`
+    /// runs cold).
     #[allow(clippy::too_many_arguments)]
     fn branch_and_bound(
         &self,
@@ -292,15 +299,24 @@ impl ExactRm {
         jobs: &[JobView],
         cand: &[Vec<Candidate>],
         keys: &[(usize, Energy)],
-        seed: Option<Vec<Option<Candidate>>>,
-        pool: &mut TimelinePool,
+        seeder: Option<&mut Seeder<'_>>,
+        plans: &mut TimelineSet,
+        rung: &mut RungBuffers,
     ) -> Attempt {
+        let RungBuffers {
+            order,
+            suffix_min,
+            chosen,
+            lookahead,
+            price,
+        } = rung;
         // Branching order, pseudocost-lite: most constrained task first
         // (fewest candidates), then largest energy spread (its assignment
         // moves the bound the most), then tightest deadline; the stable sort
         // pins remaining ties to job order so decisions stay deterministic.
         // `order[pos]` is the job index at depth pos.
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.clear();
+        order.extend(0..jobs.len());
         order.sort_by(|&a, &b| {
             keys[a]
                 .0
@@ -311,52 +327,42 @@ impl ExactRm {
 
         // Lower bound: cheapest candidate of every job still unassigned at
         // or below a depth.
-        let mut suffix_min = vec![Energy::ZERO; jobs.len() + 1];
+        suffix_min.clear();
+        suffix_min.resize(jobs.len() + 1, Energy::ZERO);
         for pos in (0..jobs.len()).rev() {
             suffix_min[pos] = suffix_min[pos + 1] + cand[order[pos]][0].energy;
         }
 
-        // Blocking cut: the per-depth look-ahead, built in the pool's
-        // reused buffers (empty unless exactly one job is released later).
-        let mut lookahead = std::mem::take(&mut pool.lookahead);
-        lookahead.rebuild(activation, jobs, cand, &order);
+        // Blocking cut: the per-depth look-ahead (empty unless exactly one
+        // job is released later).
+        lookahead.rebuild(activation, jobs, cand, order);
         // Capacity bound: built lazily by the search, once per rung (a cold
         // rerun keeps what the warm run built).
-        let mut price = std::mem::take(&mut pool.price);
         price.built = false;
         price.active = false;
 
-        // Warm start: the seed is the incumbent. Its cost is re-summed in
-        // `order` position order — the same left-to-right fold the DFS uses
-        // — so when the search reaches the same leaf it computes the same
-        // float, and the `<=` replacement below fires.
-        let mut warm: Option<(Energy, Vec<Option<Candidate>>)> = seed.map(|chosen| {
-            debug_assert_eq!(chosen.len(), jobs.len(), "the seed plans this rung");
-            let mut cost = Energy::ZERO;
-            for &j in &order {
-                cost += chosen[j].expect("the seed maps every job").energy;
-            }
-            (cost, chosen)
-        });
-
+        // The seed is asked for by the first run only: a cold rerun has none.
+        let mut seeder = seeder;
         // Nodes spent by a warm run that fell through to the cold rerun,
         // carried into the reported count so the extra spend is visible.
         let mut rerun_nodes: u64 = 0;
         let (nodes, best, timed_out) = loop {
-            let injected = warm.is_some();
+            chosen.clear();
+            chosen.resize(jobs.len(), None);
             let mut search = Search {
                 now: activation.now,
                 platform: activation.platform,
                 jobs,
                 cand,
-                order: &order,
-                suffix_min: &suffix_min,
-                lookahead: &lookahead,
-                price: &mut price,
-                plan: PlanBuilder::new(activation, &mut *pool),
-                chosen: vec![None; jobs.len()],
-                best: warm.take(),
-                injected,
+                order,
+                suffix_min,
+                lookahead,
+                price: &mut *price,
+                plan: PlanBuilder::in_set(activation, &mut *plans),
+                chosen: &mut chosen[..],
+                best: None,
+                injected: false,
+                seeder: seeder.take(),
                 nodes: 0,
                 budget: self.node_budget,
                 deadline: self
@@ -390,8 +396,6 @@ impl ExactRm {
             }
             break (rerun_nodes + search.nodes, search.best, search.timed_out);
         };
-        pool.lookahead = lookahead;
-        pool.price = price;
         let Some((objective, chosen)) = best else {
             return Attempt {
                 plan: None,
@@ -400,7 +404,7 @@ impl ExactRm {
         };
         // Rebuild the winning plan to derive the reservation gates.
         let start_gates = if num_phantoms > 0 {
-            let mut plan = PlanBuilder::new(activation, pool);
+            let mut plan = PlanBuilder::in_set(activation, plans);
             for (job, c) in jobs.iter().zip(&chosen) {
                 plan.place(job, &c.expect("complete assignment"));
             }
@@ -426,6 +430,71 @@ impl ExactRm {
             timed_out,
         }
     }
+}
+
+/// Plans the heuristic seed of the rung being searched, when the search
+/// asks for it: the job-indexed chosen candidates, or `None` when the
+/// heuristic cannot map the rung.
+type Seeder<'s> = dyn FnMut() -> Option<Vec<Option<Candidate>>> + 's;
+
+/// The exact search's buffers, recycled across decides by the
+/// [`TimelinePool`]: the decide's candidate rows and branch keys, the
+/// presolve's scratch, and one rung's search state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExactBuffers {
+    /// Per job of the decide, its deadline-filtered, `(energy,
+    /// resource)`-sorted and presolved row; rung `k` reads the prefix of
+    /// `n_real + k`. Rows past the decide's jobs are left over, emptied on
+    /// reuse.
+    rows: Vec<Vec<Candidate>>,
+    /// Per job of the decide, its branch keys, taken before the presolve.
+    keys: Vec<(usize, Energy)>,
+    presolve: Presolve,
+    rung: RungBuffers,
+}
+
+impl ExactBuffers {
+    /// Refills the rows and branch keys from the decide's `table`: every
+    /// job's deadline-filtered candidates in the table's pre-sorted order
+    /// (filter-after-stable-sort equals the legacy sort-after-filter). The
+    /// deadline bound `t_left` does not depend on the fallback rung, so this
+    /// runs *once per decide* and each rung slices a prefix.
+    fn fill(
+        &mut self,
+        activation: &Activation<'_>,
+        table: &CandidateTable,
+        index: Option<&PlatformIndex>,
+        presolve: bool,
+    ) {
+        let (jobs, access) = table.uncounted();
+        if self.rows.len() < jobs.len() {
+            self.rows.resize_with(jobs.len(), Vec::new);
+        }
+        self.keys.clear();
+        for (j, row) in self.rows[..jobs.len()].iter_mut().enumerate() {
+            let fill = Fill {
+                presolve: presolve.then_some(&mut self.presolve),
+                row,
+                num_resources: activation.platform.len(),
+            };
+            let key = access.filtered(j, jobs[j].time_left(activation.now), index, fill);
+            self.keys.push(key);
+        }
+        // Every rung's rows are a prefix of these, so the capacity bound's
+        // per-job lines are taken once per decide.
+        self.rung.price.lines.clear();
+    }
+}
+
+/// One rung's search state: branch order, suffix minima, the path's
+/// choices, and the cuts' and bounds' tables.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RungBuffers {
+    order: Vec<usize>,
+    suffix_min: Vec<Energy>,
+    chosen: Vec<Option<Candidate>>,
+    lookahead: Lookahead,
+    price: GpuPrice,
 }
 
 /// Per-job branching keys: (candidate count, energy spread between the most
@@ -457,7 +526,8 @@ fn order_keys(rows: &[Vec<Candidate>]) -> Vec<(usize, Energy)> {
 ///
 /// Rows are energy-sorted ascending, so dominators precede their victims;
 /// runs of equal energy are folded into the frontier only after the whole
-/// run is judged, keeping the energy comparison strict.
+/// run is judged, keeping the energy comparison strict. The reference path's
+/// form of [`Fill`], which applies the same rule while it copies.
 fn drop_dominated_rows(rows: &mut [Vec<Candidate>], num_resources: usize) {
     let mut frontier: Vec<Option<Time>> = vec![None; num_resources * 2];
     let mut dropped: Vec<bool> = Vec::new();
@@ -494,6 +564,81 @@ fn drop_dominated_rows(rows: &mut [Vec<Candidate>], num_resources: usize) {
                 !drop
             });
         }
+    }
+}
+
+/// The dominance presolve's scratch: it is applied to the decide's rows
+/// while [`Fill`] copies them out of the candidate table, one pass per row.
+#[derive(Debug, Clone, Default)]
+struct Presolve {
+    /// Per (resource, pinned) group: the row that last wrote the slot, and
+    /// the least exec among the row's strictly cheaper candidates there.
+    frontier: Vec<(u64, Time)>,
+    /// Rows filled so far; a slot is empty unless stamped with this one.
+    stamp: u64,
+}
+
+/// Refills one search row from the table (see [`RowSink`]): with
+/// `presolve`, less the candidates [`drop_dominated_rows`] drops. Its
+/// output is the row's branching keys, (candidate count, energy spread),
+/// measured before the drop so the branching order does not depend on the
+/// presolve.
+struct Fill<'a> {
+    presolve: Option<&'a mut Presolve>,
+    row: &'a mut Vec<Candidate>,
+    num_resources: usize,
+}
+
+impl RowSink for Fill<'_> {
+    type Out = (usize, Energy);
+
+    fn take(self, filtered: impl Iterator<Item = Candidate>) -> (usize, Energy) {
+        let Fill {
+            presolve,
+            row,
+            num_resources,
+        } = self;
+        row.clear();
+        let Some(presolve) = presolve else {
+            row.extend(filtered);
+            return match (row.first(), row.last()) {
+                (Some(first), Some(last)) => (row.len(), last.energy - first.energy),
+                _ => (0, Energy::ZERO),
+            };
+        };
+        let Presolve { frontier, stamp } = presolve;
+        if frontier.len() < num_resources * 2 {
+            frontier.resize(num_resources * 2, (0, Time::ZERO));
+        }
+        *stamp += 1;
+        let slot = |c: &Candidate| c.resource.index() * 2 + usize::from(c.pinned);
+        // `row[run..]`: the kept candidates of the current equal-energy run.
+        // A dropped one has a frontier entry at or below its exec already,
+        // so only kept ones can lower the frontier.
+        let mut run = 0;
+        let (mut count, mut first, mut last) = (0, Energy::ZERO, Energy::ZERO);
+        for c in filtered {
+            if count == 0 {
+                first = c.energy;
+            } else if c.energy != last {
+                // Rows are energy-sorted: a new energy closes the run, whose
+                // candidates join the frontier of strictly cheaper ones.
+                for kept in &row[run..] {
+                    let entry = &mut frontier[slot(kept)];
+                    if entry.0 != *stamp || kept.exec < entry.1 {
+                        *entry = (*stamp, kept.exec);
+                    }
+                }
+                run = row.len();
+            }
+            count += 1;
+            last = c.energy;
+            let (written, exec) = frontier[slot(&c)];
+            if written != *stamp || exec > c.exec {
+                row.push(c);
+            }
+        }
+        (count, last - first)
     }
 }
 
@@ -944,7 +1089,7 @@ impl GpuPrice {
     }
 }
 
-struct Search<'a, 'b> {
+struct Search<'a, 'b, 's> {
     now: Time,
     platform: &'a Platform,
     jobs: &'a [JobView],
@@ -954,20 +1099,23 @@ struct Search<'a, 'b> {
     lookahead: &'a Lookahead,
     price: &'a mut GpuPrice,
     plan: PlanBuilder<'b>,
-    chosen: Vec<Option<Candidate>>,
+    chosen: &'a mut [Option<Candidate>],
     best: Option<(Energy, Vec<Option<Candidate>>)>,
     /// `best` holds a warm-start incumbent the search did not discover
     /// itself. While set, pruning uses the strict bound (`>` instead of
     /// `>=`) so an equally good subtree is never cut, and an equally good
     /// leaf replaces the incumbent — after which the cold rules resume.
     injected: bool,
+    /// The rung's heuristic seed, planned the first time the search
+    /// outlives its first descent.
+    seeder: Option<&'a mut Seeder<'s>>,
     nodes: u64,
     budget: u64,
     deadline: Option<Instant>,
     timed_out: bool,
 }
 
-impl Search<'_, '_> {
+impl Search<'_, '_, '_> {
     /// Whether a lower bound cuts against the incumbent: strictly above an
     /// injected one (its cost is feasible but unproven, and cutting an
     /// equally cheap subtree could hide a leaf the cold search would have
@@ -1003,21 +1151,40 @@ impl Search<'_, '_> {
                     Some((b, _)) => cost < *b,
                 };
             if accept {
-                self.best = Some((cost, self.chosen.clone()));
+                self.best = Some((cost, self.chosen.to_vec()));
                 self.injected = false;
             }
             return;
         }
+        // Past its first descent (more nodes than jobs), the search asks
+        // for the rung's heuristic seed, once, and injects it when it beats
+        // the incumbent so far. Its cost is re-summed in `order` position
+        // order — the same left-to-right fold the DFS uses — so when the
+        // search reaches the same leaf it computes the same float, and the
+        // `<=` replacement fires. An equally cheap seed stays out: the
+        // search-discovered incumbent is the one a cold search keeps.
+        let outlived = self.nodes > self.order.len() as u64;
+        if outlived {
+            if let Some(seed) = self.seeder.take().and_then(|seeder| seeder()) {
+                let cost = self.order.iter().fold(Energy::ZERO, |cost, &j| {
+                    cost + seed[j].expect("the seed maps every job").energy
+                });
+                if self.best.as_ref().is_none_or(|(best, _)| cost < *best) {
+                    self.best = Some((cost, seed));
+                    self.injected = true;
+                }
+            }
+        }
         // The capacity bound pays for its build only on searches that go
         // on past their first dive with an incumbent to cut against.
-        if !self.price.built && self.best.is_some() && self.nodes > self.order.len() as u64 {
+        if !self.price.built && self.best.is_some() && outlived {
             self.price.build(
                 self.now,
                 self.platform,
                 self.jobs,
                 self.cand,
                 self.order,
-                &self.chosen,
+                self.chosen,
                 pos,
             );
         }
@@ -1041,7 +1208,7 @@ impl Search<'_, '_> {
             self.nodes += 1;
             if self.plan.try_place_or_defer(&self.jobs[j], &c) {
                 self.chosen[j] = Some(c);
-                if !self.lookahead.blocks(&self.plan, &self.chosen, pos + 1) {
+                if !self.lookahead.blocks(&self.plan, self.chosen, pos + 1) {
                     if self.price.active {
                         self.price.descend(pos, charge);
                     }
@@ -1086,41 +1253,37 @@ impl ResourceManager for ExactRm {
                 |pool, act| heuristic.solve_unpruned(act, 0, pool),
             );
         }
-        // Candidate rows built once per decide and shared across all rungs:
-        // rung `k` slices the prefix of `n_real + k` deadline-filtered rows.
-        // The seed table is the pruned heuristic's own (restart-free), from
-        // which every rung's warm seed and the floor are planned.
+        // One candidate table per decide, shared across all rungs: rung `k`
+        // slices the prefix of `n_real + k` deadline-filtered rows, and the
+        // seeds and the floor scan the same table, skipping its restarts
+        // in place.
         let mut table = pool.take_table();
-        let mut seeds = pool.take_seed_table();
         let index = pool.take_index();
         table.rebuild(activation, true, self.gpu_restart_in_place, index.as_ref());
-        seeds.rebuild(activation, true, false, index.as_ref());
-        let mut cand_all = self.rung_rows(activation, &mut table, index.as_ref());
-        // Branch-order keys are taken before the dominance drop so the
-        // presolved and unpresolved searches walk the same tree shape.
-        let keys_all = order_keys(&cand_all);
-        if self.presolve {
-            drop_dominated_rows(&mut cand_all, activation.platform.len());
-        }
+        pool.exact
+            .fill(activation, &table, index.as_ref(), self.presolve);
         let n_real = activation.active.len() + 1;
-        // Every rung's rows are a prefix of `cand_all`, so the capacity
-        // bound's per-job lines are taken once per decide.
-        pool.price.lines.clear();
         let decision = decide_with_fallback_tracked(
             activation,
-            &mut (&mut *pool, &mut seeds),
-            |(pool, seeds), act, k| {
+            pool,
+            |pool, act, k| {
                 let n_jobs = n_real + k;
-                let cand = &cand_all[..n_jobs];
+                let TimelinePool {
+                    plans,
+                    seeds,
+                    seeds_planned,
+                    exact,
+                    ..
+                } = pool;
+                let cand = &exact.rows[..n_jobs];
                 if cand.iter().any(Vec::is_empty) {
                     return Attempt::default();
                 }
-                let seed = if self.warm_start {
-                    heuristic
-                        .solve_with_table(act, k, seeds, index.as_ref(), pool)
-                        .map(|(_, chosen)| chosen)
-                } else {
-                    None
+                // The seed plans in the pool's second timeline set: the
+                // search holds the first when it asks.
+                let mut seed = || {
+                    *seeds_planned += 1;
+                    heuristic.seed(act, k, &table, index.as_ref(), seeds)
                 };
                 self.branch_and_bound(
                     act,
@@ -1128,19 +1291,15 @@ impl ResourceManager for ExactRm {
                     n_real,
                     &table.jobs()[..n_jobs],
                     cand,
-                    &keys_all[..n_jobs],
-                    seed,
-                    pool,
+                    &exact.keys[..n_jobs],
+                    self.warm_start.then_some(&mut seed as &mut Seeder<'_>),
+                    plans,
+                    &mut exact.rung,
                 )
             },
-            |(pool, seeds), act| {
-                heuristic
-                    .solve_with_table(act, 0, seeds, index.as_ref(), pool)
-                    .map(|(plan, _)| plan)
-            },
+            |pool, act| heuristic.floor(act, &table, index.as_ref(), pool),
         );
         pool.restore_table(table);
-        pool.restore_seed_table(seeds);
         pool.restore_index(index);
         decision
     }
@@ -1157,6 +1316,56 @@ mod tests {
     use proptest::prelude::*;
     use rtrm_platform::{ResourceKind, TaskCatalog, TaskType, TaskTypeId};
     use rtrm_sched::{JobKey, PlannedJob};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `Fill` keeps exactly the candidates `drop_dominated_rows` keeps
+        /// and returns `order_keys`' keys, on sorted rows with energy ties,
+        /// shared resources, both pinned flags and equal execs.
+        #[test]
+        fn fill_matches_the_reference_presolve(
+            rows in prop::collection::vec(
+                prop::collection::vec((0usize..3, any::<bool>(), 0u32..5, 0u32..5), 0..10),
+                1..5,
+            ),
+        ) {
+            let rows: Vec<Vec<Candidate>> = rows
+                .into_iter()
+                .map(|row| {
+                    let mut row: Vec<Candidate> = row
+                        .into_iter()
+                        .map(|(r, pinned, energy, exec)| Candidate {
+                            resource: ResourceId::new(r),
+                            exec: Time::new(f64::from(exec)),
+                            energy: Energy::new(f64::from(energy)),
+                            pinned,
+                            restart: false,
+                            speed: 1.0,
+                        })
+                        .collect();
+                    row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
+                    row
+                })
+                .collect();
+            let keys = order_keys(&rows);
+            let mut presolved = rows.clone();
+            drop_dominated_rows(&mut presolved, 3);
+            let mut presolve = Presolve::default();
+            for (j, source) in rows.iter().enumerate() {
+                for (on, want) in [(true, &presolved[j]), (false, source)] {
+                    let mut row = Vec::new();
+                    let fill = Fill {
+                        presolve: on.then_some(&mut presolve),
+                        row: &mut row,
+                        num_resources: 3,
+                    };
+                    prop_assert_eq!(fill.take(source.iter().copied()), keys[j]);
+                    prop_assert_eq!(&row, want);
+                }
+            }
+        }
+    }
 
     /// Deadline offsets around the 1/8 lattice: on it, within epsilon
     /// before it (a queue that fills `d − now` still meets it), a full

@@ -11,7 +11,9 @@
 
 use rtrm_platform::{Energy, PlatformIndex, ResourceId, Time};
 
-use crate::activation::{Activation, Decision, PlanBuilder, ResourceManager, TimelinePool};
+use crate::activation::{
+    Activation, Decision, PlanBuilder, ResourceManager, TimelinePool, TimelineSet,
+};
 use crate::cost::{candidates, Candidate};
 use crate::driver::{decide_with_fallback, Plan};
 use crate::prune::{CandidateTable, RowAccess};
@@ -131,16 +133,8 @@ impl HeuristicRm {
     /// [`solve_unpruned`](HeuristicRm::solve_unpruned) by construction:
     /// per-iteration capacity filters commute with the row's stable
     /// `(energy, resource)` sort, and the ranked scan's two-pass partition
-    /// *is* the desirability order (see `prune` module docs).
-    ///
-    /// Besides the plan it hands back the job-indexed chosen-candidate
-    /// vector it mapped with — *including* the phantom rows that
-    /// [`Plan::placements`] omits, every entry `Some`. The exact managers
-    /// seed their searches from it: re-summing the chosen energies in the
-    /// search's own branching order reproduces the exact leaf cost the
-    /// search would compute for this assignment, which the bit-identity
-    /// protocol of the injected incumbent relies on. The table must be
-    /// built `sorted` and restart-free (`gpu_restart_in_place = false`).
+    /// *is* the desirability order (see `prune` module docs). The table must
+    /// be built `sorted`.
     pub(crate) fn solve_with_table(
         &self,
         activation: &Activation<'_>,
@@ -148,13 +142,116 @@ impl HeuristicRm {
         table: &mut CandidateTable,
         index: Option<&PlatformIndex>,
         pool: &mut TimelinePool,
-    ) -> Option<(Plan, Vec<Option<Candidate>>)> {
-        let n_real = activation.active.len() + 1;
-        let n_jobs = n_real + num_phantoms;
-        let now = activation.now;
+    ) -> Option<Plan> {
+        let n_jobs = activation.active.len() + 1 + num_phantoms;
         let big_m = table.penalty_weight(n_jobs);
-        let (jobs_all, mut rows) = table.parts();
-        let jobs = &jobs_all[..n_jobs];
+        let (jobs, mut rows) = table.parts();
+        self.plan_rung(activation, &jobs[..n_jobs], &mut rows, index, big_m, pool)
+    }
+
+    /// The exact managers' heuristic floor: the rung without phantoms that
+    /// [`solve_with_table`](HeuristicRm::solve_with_table) plans, over a
+    /// table that may hold restarts in place (the scans skip them), whose
+    /// scans count nowhere.
+    pub(crate) fn floor(
+        &self,
+        activation: &Activation<'_>,
+        table: &CandidateTable,
+        index: Option<&PlatformIndex>,
+        pool: &mut TimelinePool,
+    ) -> Option<Plan> {
+        let n_jobs = activation.active.len() + 1;
+        let (jobs, mut rows) = table.uncounted();
+        let big_m = table.penalty_weight(n_jobs);
+        self.plan_rung(activation, &jobs[..n_jobs], &mut rows, index, big_m, pool)
+    }
+
+    /// The exact search's warm seed for the rung with `num_phantoms`
+    /// phantoms: the job-indexed chosen-candidate vector the heuristic maps
+    /// with — *including* the phantom rows that [`Plan::placements`] omits,
+    /// every entry `Some` — planned in `set`, with no plan assembled and no
+    /// reservation gates replayed. Re-summing the chosen energies in the
+    /// search's own branching order reproduces the exact leaf cost the
+    /// search would compute for this assignment, which the bit-identity
+    /// protocol of the injected incumbent relies on. It scans the search's
+    /// own table (restarts in place skipped, uncounted), so it equals the
+    /// rung [`HeuristicRm`]'s own decide would plan.
+    pub(crate) fn seed(
+        &self,
+        activation: &Activation<'_>,
+        num_phantoms: usize,
+        table: &CandidateTable,
+        index: Option<&PlatformIndex>,
+        set: &mut TimelineSet,
+    ) -> Option<Vec<Option<Candidate>>> {
+        let n_jobs = activation.active.len() + 1 + num_phantoms;
+        let big_m = table.penalty_weight(n_jobs);
+        let (jobs, mut rows) = table.uncounted();
+        let mut plan = PlanBuilder::in_set(activation, set);
+        self.map(
+            activation,
+            &jobs[..n_jobs],
+            &mut rows,
+            index,
+            big_m,
+            &mut plan,
+        )
+        .map(|(chosen, _)| chosen)
+    }
+
+    /// Maps one rung's `jobs` (the real jobs, then its phantoms) in the
+    /// pool and assembles its [`Plan`]: the real jobs' placements, the
+    /// objective over every job, and the reservation gates around the
+    /// phantoms.
+    fn plan_rung(
+        &self,
+        activation: &Activation<'_>,
+        jobs: &[JobView],
+        rows: &mut RowAccess<'_>,
+        index: Option<&PlatformIndex>,
+        big_m: f64,
+        pool: &mut TimelinePool,
+    ) -> Option<Plan> {
+        let n_real = activation.active.len() + 1;
+        let mut plan = PlanBuilder::new(activation, pool);
+        let (chosen, iterations) = self.map(activation, jobs, rows, index, big_m, &mut plan)?;
+        let objective: Energy = chosen.iter().flatten().map(|c| c.energy).sum();
+        let num_phantoms = jobs.len() - n_real;
+        let start_gates = if num_phantoms > 0 {
+            let keys: Vec<_> = activation.predicted[..num_phantoms]
+                .iter()
+                .map(|p| p.key)
+                .collect();
+            plan.reservation_gates(&keys)
+        } else {
+            Vec::new()
+        };
+        Some(Plan {
+            placements: jobs[..n_real]
+                .iter()
+                .zip(&chosen)
+                .map(|(j, c)| (j.key, c.expect("all jobs mapped")))
+                .collect(),
+            objective,
+            nodes: iterations,
+            start_gates,
+        })
+    }
+
+    /// Algorithm 1 over one rung's `jobs`, placing in `plan`: the
+    /// job-indexed chosen candidates and the placement attempts it took, or
+    /// `None` when some job cannot be mapped.
+    fn map(
+        &self,
+        activation: &Activation<'_>,
+        jobs: &[JobView],
+        rows: &mut RowAccess<'_>,
+        index: Option<&PlatformIndex>,
+        big_m: f64,
+        plan: &mut PlanBuilder<'_>,
+    ) -> Option<(Vec<Option<Candidate>>, u64)> {
+        let n_jobs = jobs.len();
+        let now = activation.now;
 
         // K̄: every resource starts with the full window as capacity (same
         // per-rung window as the unpruned path).
@@ -165,7 +262,6 @@ impl HeuristicRm {
             .unwrap_or(Time::ZERO);
         let mut capacity = vec![window; activation.platform.len()];
 
-        let mut plan = PlanBuilder::new(activation, pool);
         let mut chosen: Vec<Option<Candidate>> = vec![None; n_jobs];
         let mut unmapped: Vec<usize> = (0..n_jobs).collect();
         let mut iterations: u64 = 0;
@@ -189,8 +285,7 @@ impl HeuristicRm {
                     }
                     _ => {
                         let tleft = jobs[j].time_left(now);
-                        let Some(pair) =
-                            first_two_hits(&mut rows, j, tleft, index, &capacity, big_m)
+                        let Some(pair) = first_two_hits(rows, j, tleft, index, &capacity, big_m)
                         else {
                             return None; // line 22: F_j empty, no solution
                         };
@@ -234,27 +329,7 @@ impl HeuristicRm {
         }
 
         debug_assert!(plan.all_schedulable());
-        let objective: Energy = chosen.iter().flatten().map(|c| c.energy).sum();
-        let start_gates = if num_phantoms > 0 {
-            let keys: Vec<_> = activation.predicted[..num_phantoms]
-                .iter()
-                .map(|p| p.key)
-                .collect();
-            plan.reservation_gates(&keys)
-        } else {
-            Vec::new()
-        };
-        let plan = Plan {
-            placements: jobs[..n_real]
-                .iter()
-                .zip(&chosen)
-                .map(|(j, c)| (j.key, c.expect("all jobs mapped")))
-                .collect(),
-            objective,
-            nodes: iterations,
-            start_gates,
-        };
-        Some((plan, chosen))
+        Some((chosen, iterations))
     }
 
     /// The pre-pruning rung solve: rebuilds every candidate list per rung
@@ -436,7 +511,6 @@ impl ResourceManager for HeuristicRm {
         table.rebuild(activation, true, false, index.as_ref());
         let decision = decide_with_fallback(activation, |act, k| {
             self.solve_with_table(act, k, &mut table, index.as_ref(), pool)
-                .map(|(plan, _)| plan)
         });
         pool.restore_table(table);
         pool.restore_index(index);
@@ -461,8 +535,9 @@ mod tests {
     use rtrm_platform::{Platform, PlatformIndex, TaskCatalog, TaskType, TaskTypeId};
     use rtrm_sched::JobKey;
 
-    /// DVFS CPU + plain CPU + GPU, two types with very different energies so
-    /// the per-rung maximum actually moves as phantoms join the rung.
+    /// DVFS CPU + plain CPU + GPU, three types with very different energies
+    /// so the per-rung maximum moves as phantoms join the rung, and a job
+    /// running on the GPU would raise it through its restarts in place.
     fn world() -> (Platform, TaskCatalog) {
         let mut b = Platform::builder();
         b.cpu_with_dvfs("c0", &[0.5, 1.0, 2.0]).cpus(1).gpu("g");
@@ -479,20 +554,38 @@ mod tests {
             .profile(ids[1], Time::new(9.0), Energy::new(40.0))
             .uniform_migration(Time::new(1.0), Energy::new(0.5))
             .build();
-        (platform, TaskCatalog::new(vec![small, big]))
+        // A restart on the GPU (energy 50) costs more than any other of its
+        // candidates (at most 16 on `c0` at speed 2).
+        let gpu_heavy = TaskType::builder(2, &platform)
+            .profile(ids[0], Time::new(8.0), Energy::new(4.0))
+            .profile(ids[1], Time::new(6.0), Energy::new(5.0))
+            .profile(ids[2], Time::new(3.0), Energy::new(50.0))
+            .uniform_migration(Time::new(1.0), Energy::new(0.5))
+            .build();
+        (platform, TaskCatalog::new(vec![small, big, gpu_heavy]))
+    }
+
+    /// A job placed on the plain CPU and a `gpu_heavy` job a tenth of the
+    /// way from done on the GPU.
+    fn active_jobs(platform: &Platform) -> [JobView; 2] {
+        let ids: Vec<_> = platform.ids().collect();
+        let mut on_cpu = JobView::fresh(JobKey(0), TaskTypeId::new(0), Time::ZERO, Time::new(25.0));
+        on_cpu.placement = Some(Placement::new(ids[1], 0.6, true));
+        let mut on_gpu = JobView::fresh(JobKey(4), TaskTypeId::new(2), Time::ZERO, Time::new(12.0));
+        on_gpu.placement = Some(Placement::new(ids[2], 0.1, true));
+        [on_cpu, on_gpu]
     }
 
     /// S2 pin: the table's prefix-maximum penalty weight equals the legacy
-    /// per-rung full-table flatten for *every* rung of the ladder — with a
-    /// placed active job (owned row) and phantoms of a high-energy type that
-    /// raise the maximum only on the deeper rungs.
+    /// per-rung flatten of the restart-free table for *every* rung of the
+    /// ladder — with placed active jobs (owned rows), one running on the
+    /// GPU, phantoms of a high-energy type that raise the maximum only on
+    /// the deeper rungs, and the table built with or without restarts in
+    /// place.
     #[test]
     fn prefix_penalty_weight_matches_per_rung_flatten() {
         let (platform, catalog) = world();
-        let ids: Vec<_> = platform.ids().collect();
-        let mut active = JobView::fresh(JobKey(0), TaskTypeId::new(0), Time::ZERO, Time::new(25.0));
-        active.placement = Some(Placement::new(ids[1], 0.6, true));
-        let active = [active];
+        let active = active_jobs(&platform);
         let arriving = JobView::fresh(JobKey(1), TaskTypeId::new(0), Time::ZERO, Time::new(20.0));
         let predicted = [
             JobView::fresh(
@@ -518,35 +611,38 @@ mod tests {
         };
         let n_real = activation.active.len() + 1;
 
-        for (index, label) in [
-            (None, "owned rows"),
-            (
-                Some(PlatformIndex::build(&platform, &catalog)),
-                "indexed rows",
-            ),
-        ] {
-            let mut table = CandidateTable::new();
-            table.rebuild(&activation, true, false, index.as_ref());
-            for k in 0..=predicted.len() {
-                let legacy: Vec<Vec<Candidate>> = activation
-                    .jobs_with_phantoms(k)
-                    .map(|j| candidates(j, &platform, &catalog, false))
-                    .collect();
-                assert_eq!(
-                    table.penalty_weight(n_real + k),
-                    penalty_weight(&legacy),
-                    "{label}, rung with {k} phantoms"
-                );
+        for restart_in_place in [false, true] {
+            for (index, label) in [
+                (None, "owned rows"),
+                (
+                    Some(PlatformIndex::build(&platform, &catalog)),
+                    "indexed rows",
+                ),
+            ] {
+                let mut table = CandidateTable::new();
+                table.rebuild(&activation, true, restart_in_place, index.as_ref());
+                for k in 0..=predicted.len() {
+                    let legacy: Vec<Vec<Candidate>> = activation
+                        .jobs_with_phantoms(k)
+                        .map(|j| candidates(j, &platform, &catalog, false))
+                        .collect();
+                    assert_eq!(
+                        table.penalty_weight(n_real + k),
+                        penalty_weight(&legacy),
+                        "{label}, restarts in place {restart_in_place}, rung with {k} phantoms"
+                    );
+                }
             }
         }
     }
 
     /// The pruned default and the `unpruned_candidates` baseline agree on a
-    /// multi-phantom activation (the proptest suite covers this at scale;
-    /// this is the fast in-crate smoke check).
+    /// multi-phantom activation with a job running on the GPU (the proptest
+    /// suite covers this at scale; this is the fast in-crate smoke check).
     #[test]
     fn pruned_and_unpruned_decide_identically_here() {
         let (platform, catalog) = world();
+        let active = active_jobs(&platform);
         let arriving = JobView::fresh(JobKey(1), TaskTypeId::new(0), Time::ZERO, Time::new(20.0));
         let predicted = [JobView::fresh(
             JobKey(2),
@@ -558,7 +654,7 @@ mod tests {
             now: Time::ZERO,
             platform: &platform,
             catalog: &catalog,
-            active: &[],
+            active: &active,
             arriving,
             predicted: &predicted,
         };
@@ -572,22 +668,30 @@ mod tests {
         assert_eq!(pruned, unpruned);
         assert!(pruned.admitted);
 
-        // The chosen vectors the exact managers seed from agree on every
-        // rung, phantom rows included, with and without an index.
+        // The seeds the exact managers plan agree with the unpruned chosen
+        // vectors on every rung, phantom rows included, with and without an
+        // index, over a table built with or without restarts in place.
         let heuristic = HeuristicRm::new();
-        for index in [None, Some(PlatformIndex::build(&platform, &catalog))] {
-            let mut table = CandidateTable::new();
-            table.rebuild(&activation, true, false, index.as_ref());
-            let mut pool = TimelinePool::new();
-            for k in 0..=predicted.len() {
-                let (_, pruned) = heuristic
-                    .solve_with_table(&activation, k, &mut table, index.as_ref(), &mut pool)
-                    .expect("the pruned solve maps every job");
-                let (_, unpruned) = heuristic
-                    .solve_unpruned_with_chosen(&activation, k, &mut TimelinePool::new())
-                    .expect("the unpruned solve maps every job");
-                let unpruned: Vec<_> = unpruned.into_iter().map(Some).collect();
-                assert_eq!(pruned, unpruned, "rung {k}, index {}", index.is_some());
+        for restart_in_place in [false, true] {
+            for index in [None, Some(PlatformIndex::build(&platform, &catalog))] {
+                let mut table = CandidateTable::new();
+                table.rebuild(&activation, true, restart_in_place, index.as_ref());
+                let mut set = TimelineSet::default();
+                for k in 0..=predicted.len() {
+                    let seed = heuristic
+                        .seed(&activation, k, &table, index.as_ref(), &mut set)
+                        .expect("the seed maps every job");
+                    let (_, unpruned) = heuristic
+                        .solve_unpruned_with_chosen(&activation, k, &mut TimelinePool::new())
+                        .expect("the unpruned solve maps every job");
+                    let unpruned: Vec<_> = unpruned.into_iter().map(Some).collect();
+                    assert_eq!(
+                        seed,
+                        unpruned,
+                        "rung {k}, index {}, restarts in place {restart_in_place}",
+                        index.is_some()
+                    );
+                }
             }
         }
     }

@@ -499,16 +499,14 @@ impl ResourceManager for MilpRm {
             |pool, act, k| self.solve(act, k, &real_jobs, &real_cands, &pred_cands, pool),
             // Heuristic floor: only consulted when every MILP rung failed and
             // at least one of those failures was a wall-clock expiry. It plans
-            // as `HeuristicRm` decides, over the pool's restart-free seed
-            // table and index.
+            // as `HeuristicRm` decides, over the pool's table and index,
+            // rebuilt here since nothing else in this manager reads them.
             |pool, act| {
-                let mut seeds = pool.take_seed_table();
+                let mut table = pool.take_table();
                 let index = pool.take_index();
-                seeds.rebuild(act, true, false, index.as_ref());
-                let plan = HeuristicRm::new()
-                    .solve_with_table(act, 0, &mut seeds, index.as_ref(), pool)
-                    .map(|(plan, _)| plan);
-                pool.restore_seed_table(seeds);
+                table.rebuild(act, true, false, index.as_ref());
+                let plan = HeuristicRm::new().floor(act, &table, index.as_ref(), pool);
+                pool.restore_table(table);
                 pool.restore_index(index);
                 plan
             },

@@ -27,7 +27,12 @@
 //! * **prefix maxima** — the penalty weight `M = 2·max_energy + 1` of rung
 //!   `k` needs the maximum candidate energy over that rung's jobs, which is
 //!   [`CandidateTable::penalty_weight`]'s O(1) prefix-maximum read instead
-//!   of a per-rung table flatten.
+//!   of a per-rung table flatten;
+//! * **one table for both searches** — a table built with GPU restarts in
+//!   place (the exact search's rows) also serves the heuristic: ranked scans
+//!   skip a job's in-place restart candidates, and the prefix maxima leave
+//!   them out, so the heuristic reads exactly the restart-free rows it
+//!   would have built (filtering commutes with the stable sort).
 //!
 //! The shortlist prefix of an index row is what a ranked scan touches in the
 //! common case; continuing past it (because every shortlisted placement was
@@ -38,7 +43,7 @@
 //! argument, including why a hard cross-resource Pareto filter must stay
 //! advisory.
 
-use rtrm_platform::{PlatformIndex, TaskTypeId, Time, DEFAULT_SHORTLIST};
+use rtrm_platform::{PlatformIndex, ResourceId, TaskTypeId, Time, DEFAULT_SHORTLIST};
 
 use crate::activation::Activation;
 use crate::cost::{candidates_into, Candidate};
@@ -67,8 +72,13 @@ pub struct PruneStats {
 /// How one job's candidate row is stored.
 #[derive(Debug, Clone, Copy)]
 enum RowKind {
-    /// `arena[start..start + len]`.
-    Owned { start: usize, len: usize },
+    /// `arena[start..start + len]`. `in_place` is the GPU the job runs on
+    /// when the row holds restarts in place there, which ranked scans skip.
+    Owned {
+        start: usize,
+        len: usize,
+        in_place: Option<ResourceId>,
+    },
     /// Borrowed from the [`PlatformIndex`] the table was built with.
     Indexed { ty: TaskTypeId },
 }
@@ -87,9 +97,10 @@ pub struct CandidateTable {
     rows: Vec<RowKind>,
     /// Backing storage for every owned row.
     arena: Vec<Candidate>,
-    /// `prefix_max[i]`: largest candidate energy over `jobs[..=i]`, so each
-    /// rung's penalty weight is an O(1) read that matches the legacy
-    /// per-rung table flatten bit for bit.
+    /// `prefix_max[i]`: largest candidate energy over `jobs[..=i]`, restarts
+    /// in place left out, so each rung's penalty weight is an O(1) read that
+    /// matches the legacy per-rung flatten of the restart-free table bit for
+    /// bit.
     prefix_max: Vec<f64>,
     shortlist: usize,
     stats: PruneStats,
@@ -111,7 +122,10 @@ impl CandidateTable {
     /// variable order). Index-backed rows are only used when `sorted` (the
     /// index pre-sorts the same order) and the job is fresh; placed jobs
     /// always materialize through the cost model, which is the only place
-    /// migration and abort costs exist.
+    /// migration and abort costs exist. With `gpu_restart_in_place` the
+    /// rows also hold the restarts in place of
+    /// [`candidates`](crate::candidates); ranked scans and
+    /// [`penalty_weight`](CandidateTable::penalty_weight) leave them out.
     pub fn rebuild(
         &mut self,
         activation: &Activation<'_>,
@@ -156,10 +170,21 @@ impl CandidateTable {
                     // managers sorted per-rung lists with.
                     row.sort_by(|a, b| a.energy.cmp(&b.energy).then(a.resource.cmp(&b.resource)));
                 }
+                let in_place = job
+                    .placement
+                    .map(|p| p.resource)
+                    .filter(|_| gpu_restart_in_place);
                 let len = row.len();
-                self.rows.push(RowKind::Owned { start, len });
+                self.rows.push(RowKind::Owned {
+                    start,
+                    len,
+                    in_place,
+                });
                 self.stats.owned_rows += 1;
-                row.iter().map(|c| c.energy.value()).fold(0.0, f64::max)
+                row.iter()
+                    .filter(|c| !restarts_in_place(c, in_place))
+                    .map(|c| c.energy.value())
+                    .fold(0.0, f64::max)
             };
             running_max = running_max.max(row_max);
             self.prefix_max.push(running_max);
@@ -175,7 +200,8 @@ impl CandidateTable {
 
     /// The penalty weight `M = 2·max_energy + 1` for a rung planning the
     /// first `n_jobs` jobs — identical to the legacy per-rung computation
-    /// over the rung's full candidate table, as an O(1) prefix-maximum read.
+    /// over the rung's restart-free candidate table, as an O(1)
+    /// prefix-maximum read.
     ///
     /// # Panics
     ///
@@ -192,7 +218,8 @@ impl CandidateTable {
     }
 
     /// Splits the table into the job list and a row accessor, so a solver
-    /// can hold job views and scan rows at the same time.
+    /// can hold job views and scan rows at the same time. Ranked scans
+    /// count their widenings in [`stats`](CandidateTable::stats).
     pub(crate) fn parts(&mut self) -> (&[JobView], RowAccess<'_>) {
         let CandidateTable {
             jobs,
@@ -207,11 +234,31 @@ impl CandidateTable {
             RowAccess {
                 rows,
                 arena,
-                stats,
+                stats: Some(stats),
                 shortlist: *shortlist,
             },
         )
     }
+
+    /// Like [`parts`](CandidateTable::parts), over a shared table and with
+    /// scans that count nowhere: the exact managers' seeds and floors scan
+    /// the rows their search reads without touching the decide's counters.
+    pub(crate) fn uncounted(&self) -> (&[JobView], RowAccess<'_>) {
+        (
+            &self.jobs,
+            RowAccess {
+                rows: &self.rows,
+                arena: &self.arena,
+                stats: None,
+                shortlist: self.shortlist,
+            },
+        )
+    }
+}
+
+/// Whether `c` restarts its job in place on `in_place`, the GPU it runs on.
+fn restarts_in_place(c: &Candidate, in_place: Option<ResourceId>) -> bool {
+    c.restart && in_place == Some(c.resource)
 }
 
 /// Scanning access to the rows of a [`CandidateTable`].
@@ -219,8 +266,16 @@ impl CandidateTable {
 pub(crate) struct RowAccess<'a> {
     rows: &'a [RowKind],
     arena: &'a [Candidate],
-    stats: &'a mut PruneStats,
+    stats: Option<&'a mut PruneStats>,
     shortlist: usize,
+}
+
+/// Consumes one row's candidates from [`RowAccess::filtered`].
+pub(crate) trait RowSink {
+    /// What the sink makes of the row.
+    type Out;
+    /// Takes the row.
+    fn take(self, row: impl Iterator<Item = Candidate>) -> Self::Out;
 }
 
 /// One resolved row: either the arena slice or the borrowed index row.
@@ -259,7 +314,7 @@ impl RowSlice<'_> {
 impl<'a> RowAccess<'a> {
     fn resolve<'s>(&'s self, j: usize, index: Option<&'s PlatformIndex>) -> RowSlice<'s> {
         match self.rows[j] {
-            RowKind::Owned { start, len } => RowSlice::Owned(&self.arena[start..start + len]),
+            RowKind::Owned { start, len, .. } => RowSlice::Owned(&self.arena[start..start + len]),
             RowKind::Indexed { ty } => RowSlice::Indexed(
                 index
                     .expect("table built with an index must be scanned with it")
@@ -268,20 +323,20 @@ impl<'a> RowAccess<'a> {
         }
     }
 
-    /// Appends job `j`'s deadline-feasible candidates (`exec <= tleft`) to
-    /// `out` in stored order — the hot bulk-materialization path, kept
-    /// monomorphic per storage kind so it compiles to a plain slice sweep.
-    pub(crate) fn filtered_into(
+    /// Hands job `j`'s deadline-feasible candidates (`exec <= tleft`), in
+    /// stored order, to `sink` — the exact search's rows, read once per
+    /// decide. Each storage kind gets its own monomorphic sweep.
+    pub(crate) fn filtered<S: RowSink>(
         &self,
         j: usize,
         tleft: Time,
         index: Option<&PlatformIndex>,
-        out: &mut Vec<Candidate>,
-    ) {
+        sink: S,
+    ) -> S::Out {
         match self.resolve(j, index) {
-            RowSlice::Owned(s) => out.extend(s.iter().filter(|c| c.exec <= tleft).copied()),
+            RowSlice::Owned(s) => sink.take(s.iter().copied().filter(|c| c.exec <= tleft)),
             RowSlice::Indexed(s) => {
-                out.extend(s.iter().filter(|p| p.wcet <= tleft).map(|p| Candidate {
+                sink.take(s.iter().filter(|p| p.wcet <= tleft).map(|p| Candidate {
                     resource: p.resource,
                     exec: p.wcet,
                     energy: p.energy,
@@ -293,15 +348,10 @@ impl<'a> RowAccess<'a> {
         }
     }
 
-    /// The stored length of job `j`'s row (before any deadline filter).
-    pub(crate) fn row_len(&self, j: usize, index: Option<&PlatformIndex>) -> usize {
-        self.resolve(j, index).len()
-    }
-
     /// Scans job `j`'s row in the heuristic's desirability order: all
     /// deadline-feasible (`exec <= tleft`) candidates by `(energy,
-    /// resource)`, then the penalized remainder in the same order. Requires
-    /// a `sorted` table.
+    /// resource)`, then the penalized remainder in the same order, restarts
+    /// in place skipped. Requires a `sorted` table.
     pub(crate) fn ranked<'s>(
         &'s mut self,
         j: usize,
@@ -314,17 +364,25 @@ impl<'a> RowAccess<'a> {
             stats,
             shortlist,
         } = self;
-        let row = match rows[j] {
-            RowKind::Owned { start, len } => RowSlice::Owned(&arena[start..start + len]),
-            RowKind::Indexed { ty } => RowSlice::Indexed(
-                index
-                    .expect("table built with an index must be scanned with it")
-                    .row(ty),
+        let (row, in_place) = match rows[j] {
+            RowKind::Owned {
+                start,
+                len,
+                in_place,
+            } => (RowSlice::Owned(&arena[start..start + len]), in_place),
+            RowKind::Indexed { ty } => (
+                RowSlice::Indexed(
+                    index
+                        .expect("table built with an index must be scanned with it")
+                        .row(ty),
+                ),
+                None,
             ),
         };
         RankedScan {
             row,
-            stats,
+            in_place,
+            stats: stats.as_deref_mut(),
             shortlist: *shortlist,
             tleft,
             pos: 0,
@@ -342,7 +400,9 @@ impl<'a> RowAccess<'a> {
 #[derive(Debug)]
 pub(crate) struct RankedScan<'a> {
     row: RowSlice<'a>,
-    stats: &'a mut PruneStats,
+    /// The GPU whose restarts in place the scan skips.
+    in_place: Option<ResourceId>,
+    stats: Option<&'a mut PruneStats>,
     shortlist: usize,
     tleft: Time,
     pos: usize,
@@ -367,12 +427,17 @@ impl RankedScan<'_> {
             let rank = self.pos;
             self.pos += 1;
             let c = self.row.get(rank);
+            if restarts_in_place(&c, self.in_place) {
+                continue;
+            }
             let penalized = c.exec > self.tleft;
             self.penalized_seen |= penalized;
             if penalized == (self.pass == 1) {
                 if !self.widened && rank >= self.shortlist {
                     self.widened = true;
-                    self.stats.widened += 1;
+                    if let Some(stats) = self.stats.as_deref_mut() {
+                        stats.widened += 1;
+                    }
                 }
                 return Some((c, penalized));
             }
@@ -385,6 +450,26 @@ mod tests {
     use super::*;
     use rtrm_platform::{Energy, Platform, TaskCatalog, TaskType};
     use rtrm_sched::JobKey;
+
+    /// Collects a row.
+    struct Collect;
+
+    impl RowSink for Collect {
+        type Out = Vec<Candidate>;
+        fn take(self, row: impl Iterator<Item = Candidate>) -> Vec<Candidate> {
+            row.collect()
+        }
+    }
+
+    /// Counts a row.
+    struct Count;
+
+    impl RowSink for Count {
+        type Out = usize;
+        fn take(self, row: impl Iterator<Item = Candidate>) -> usize {
+            row.count()
+        }
+    }
 
     fn world() -> (Platform, TaskCatalog) {
         let mut b = Platform::builder();
@@ -434,13 +519,11 @@ mod tests {
         assert_eq!(owned.stats().owned_rows, 1);
         assert_eq!(indexed.stats().indexed_rows, 1);
 
-        let (_, rows_o) = owned.parts();
-        let (_, rows_i) = indexed.parts();
+        let (_, rows_o) = owned.uncounted();
+        let (_, rows_i) = indexed.uncounted();
         let forever = Time::new(f64::INFINITY);
-        let mut a: Vec<Candidate> = Vec::new();
-        rows_o.filtered_into(0, forever, None, &mut a);
-        let mut b: Vec<Candidate> = Vec::new();
-        rows_i.filtered_into(0, forever, Some(&index), &mut b);
+        let a = rows_o.filtered(0, forever, None, Collect);
+        let b = rows_i.filtered(0, forever, Some(&index), Collect);
         assert_eq!(a, b);
         assert_eq!(
             owned.penalty_weight(1),
@@ -476,6 +559,55 @@ mod tests {
             order,
             vec![(2.0, false), (5.0, false), (1.0, true), (4.0, true)]
         );
+    }
+
+    /// A job running on the GPU: the table built with restarts in place
+    /// holds its restart there, yet its ranked scans and its penalty
+    /// weight equal the restart-free table's.
+    #[test]
+    fn ranked_scans_skip_restarts_in_place() {
+        let (platform, catalog) = world();
+        let ids: Vec<_> = platform.ids().collect();
+        let mut running = JobView::fresh(
+            JobKey(0),
+            rtrm_platform::TaskTypeId::new(0),
+            Time::ZERO,
+            Time::new(30.0),
+        );
+        running.placement = Some(crate::view::Placement::new(ids[2], 0.5, true));
+        let active = [running];
+        let act = Activation {
+            now: Time::ZERO,
+            platform: &platform,
+            catalog: &catalog,
+            active: &active,
+            arriving: JobView::fresh(
+                JobKey(1),
+                rtrm_platform::TaskTypeId::new(0),
+                Time::ZERO,
+                Time::new(9.0),
+            ),
+            predicted: &[],
+        };
+        let mut with = CandidateTable::new();
+        with.rebuild(&act, true, true, None);
+        let mut without = CandidateTable::new();
+        without.rebuild(&act, true, false, None);
+        let forever = Time::new(f64::INFINITY);
+        let len = |table: &CandidateTable| {
+            let (_, rows) = table.uncounted();
+            rows.filtered(0, forever, None, Count)
+        };
+        assert_eq!(len(&with), len(&without) + 1, "one restart in place");
+        for tleft in [forever, Time::new(5.5)] {
+            let scan = |table: &CandidateTable| {
+                let (_, mut rows) = table.uncounted();
+                let mut scan = rows.ranked(0, tleft, None);
+                std::iter::from_fn(|| scan.next()).collect::<Vec<_>>()
+            };
+            assert_eq!(scan(&with), scan(&without), "tleft {tleft:?}");
+        }
+        assert_eq!(with.penalty_weight(2), without.penalty_weight(2));
     }
 
     #[test]

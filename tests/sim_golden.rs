@@ -248,9 +248,9 @@ fn calibrated_workloads_match_their_golden_digests() {
             0xe9b3_7c97_8d92_5d8f,
             0x2a6a_011e_dccf_6863,
             0xf4ba_8e2d_ba80_5c88,
-            0x954a_a9ea_b0a7_4733,
-            0x8086_1ad8_eab7_d3f6,
-            0x597c_2abe_5800_5749,
+            0xe4a9_bf40_eb97_0c1f,
+            0x981b_2b22_7f92_405a,
+            0x7a15_2fd9_310f_9901,
         ],
     );
     cases.extend(grid(
@@ -260,9 +260,9 @@ fn calibrated_workloads_match_their_golden_digests() {
             0xf0db_d0d5_278d_7c97,
             0xbe54_e2c5_5f10_5f71,
             0x41bd_50e8_ba32_eb5b,
-            0x0a7a_3395_d89a_b807,
-            0x26f1_0eaa_72e4_ddc8,
-            0x45fd_e90d_6645_ca5a,
+            0x6796_ed1a_1d51_02ed,
+            0x9981_3c47_aa26_43cf,
+            0x7d7c_52ef_284c_ce02,
         ],
     ));
     check(&cases);
@@ -280,9 +280,9 @@ fn dvfs_world_matches_its_golden_digests() {
             0xb101_300b_58a3_7171,
             0x91a9_b59f_cd17_b4b3,
             0xe722_53dc_43ad_076d,
-            0x6cc3_9015_8f65_1f5c,
+            0xc5b1_2700_fee2_002e,
             0x0b15_885e_94a1_7ec0,
-            0x7a28_2f97_2f9e_aff2,
+            0xcdcc_b86c_76bb_d749,
         ],
     ));
 }
